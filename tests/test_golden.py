@@ -1,0 +1,53 @@
+"""Golden bytes: the sha256 of stdout for a fixed set of CLI invocations.
+
+The digests pin byte-identical output across refactors of the algebra.
+They were recorded from the code before the operator products, the
+exp/ln recurrences and the iterate loops were each reduced to one
+definition; a change that alters any rendered byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from opseries.cli import main
+
+XEMX = ",".join(str((-1) ** (m - 1) * m) for m in range(1, 8))  # x e^{-x} to order 7
+
+INVERT = ["invert", "--order", "6", "--coeffs", "0," + XEMX]
+OGF = ["invert", "--order", "5", "--coeffs", "0,1,1,0,0,0,0", "--convention", "ogf"]
+VERIFY = ["--seed", "7", "--format", "json"]
+
+GOLDEN = [
+    (INVERT + ["--method", "all", "--format", "json"],
+     "3a14fa67fda6749045d093f51346f0bf6dadbd19909f3977b99b3c55c9b1591d"),
+    (OGF + ["--method", "all", "--format", "json"],
+     "2b5b9b82a9c3b8ac294e22320c4dad3eb41f0e4c5f4ccd5999663a905f591645"),
+    (INVERT + ["--method", "log"],
+     "22e759c1ea6678e5d4a99d728e10ff8451077f828ffc48d62be08d3fabbdd7c8"),
+    (["verify", "prop1"] + VERIFY,
+     "e65b6f8ddc805f5f52a953456384af6d6c615d59ee5bf0f8350b2900e11b1485"),
+    (["verify", "corollary"] + VERIFY,
+     "0c00d653242f3ed8782c9133ac47d045a8f3632e27a232f876b4cdc3a761af22"),
+    (["verify", "compos", "--m", "5"] + VERIFY,
+     "9b7f6b588c938f50bd08ff286a0b3fbe5c781c0311308cca30965ecf13f8050f"),
+    (["verify", "bellpower"] + VERIFY,
+     "a5a2feee9d449d7f94c84ef968bd364091abf7e88c2ecc202ee7d98200d80e00"),
+    (["verify", "expid"] + VERIFY,
+     "e61884de7c73e8476679ca5686cec01017b1de4d0696496def8379343233e6a0"),
+    (["verify", "stirling"] + VERIFY,
+     "1495861761a5cf5893e13eb8bab01cb19d3c54d0272ac71e046ab559c8aaccea"),
+    (["verify", "inversion"] + VERIFY,
+     "176afae3d28ac53426fd52b99163025c9cd01349f060263d1cb95760f3ef15c5"),
+    (["partitions", "4"],
+     "8831d6b0e99c155bb844f6e8b923b67329040023c4c66b34efa737987e70de6a"),
+    (["bell", "4"],
+     "055e329d962b769b8de8ad5280f77b8f6989d7d6061958d9b4d54b939bce147a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_bytes_match_recorded_digest(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
