@@ -1,5 +1,10 @@
 """Set partitions, integer partitions, Bell polynomials and Stirling numbers.
 
+Two operator constructions are indexed by these objects and live here:
+:func:`partition_operator` (the bullet product of block operators over a
+set partition) and :func:`bell_eval_bullet` (a Bell polynomial evaluated
+under the bullet product).
+
 Set partitions of ``{1..m}`` are enumerated through restricted-growth
 strings, which is duplicate-free by construction and yields blocks
 already sorted by their minimum element.  Integer partitions are kept in
@@ -11,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import reduce
+from typing import Iterable, Sequence
 
-from .diffop import DiffOp, unit_op
+from .diffop import DiffOp, _check_op_list, _diamond_powers, subset_operator, unit_op
 from .multipoly import _join_signed
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
@@ -31,8 +37,7 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", blocks)
+        blocks = [tuple(sorted(b)) for b in self.blocks]
         seen: set[int] = set()
         for block in blocks:
             if not block:
@@ -42,6 +47,8 @@ class SetPartition:
             seen |= set(block)
         if seen != set(range(1, self.m + 1)):
             raise ValueError(f"blocks do not cover 1..{self.m}")
+        # disjoint non-empty blocks have distinct minima, so plain tuple order sorts by minimum
+        object.__setattr__(self, "blocks", tuple(sorted(blocks)))
 
     def signature(self) -> IntPartition:
         """Block-size signature as an integer partition in multiplicity form."""
@@ -199,10 +206,7 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     n = op.n
     if m == 0:
         return unit_op(n)
-    powers = [unit_op(n)]
-    for _ in range(m - 1):
-        powers.append(powers[-1].diamond(op))
-    generators = [p.circ(op) for p in powers]  # generators[i-1] = op^{i-1} o op
+    generators = [p.circ(op) for p in _diamond_powers(op, m - 1)]  # [i-1]: op^{i-1} o op
     total = DiffOp.zero(n)
     for part, count in bell_polynomial(m).terms.items():
         factor = unit_op(n)
@@ -211,6 +215,21 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
                 factor = factor.bullet(generators[size - 1])
         total = total + count * factor
     return total
+
+
+def partition_operator(
+    ops: Sequence[DiffOp], partition: SetPartition | Iterable[Iterable[int]]
+) -> DiffOp:
+    """Bullet product of :func:`subset_operator` over the partition's blocks.
+
+    ``partition`` is either a ``SetPartition`` or any iterable of blocks
+    (iterables of 1-based indices) that partition ``1..len(ops)``; both are
+    validated as a ``SetPartition`` of ``len(ops)``.  Block order does not
+    matter since the bullet product is commutative.
+    """
+    _check_op_list(ops)
+    part = SetPartition(len(ops), tuple(getattr(partition, "blocks", partition)))
+    return reduce(DiffOp.bullet, (subset_operator(ops, block) for block in part.blocks))
 
 
 def stirling2(m: int, k: int) -> int:

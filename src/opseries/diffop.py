@@ -3,14 +3,20 @@
 An operator is a finite sum of generators ``u * d^beta`` stored as a map
 from the derivative multi-index ``beta`` to its polynomial coefficient
 ``u``.  Three bilinear products are defined on generators and extended
-over sums:
+over sums.  All three are slices of one Leibniz sum, computed by a single
+kernel that is told which indices ``g`` to keep:
 
-* ``diamond`` -- genuine operator composition:
+* ``diamond`` -- genuine operator composition, every ``g <= a``:
   ``u d^a <> v d^b = sum_{g <= a} (a choose g) u d^g(v) d^(a+b-g)``;
-* ``circ`` -- the derivative part hits only the right coefficient:
-  ``u d^a o v d^b = u d^a(v) d^b``;
-* ``bullet`` -- coefficients multiply, derivative orders stack:
-  ``u d^a . v d^b = u v d^(a+b)`` (commutative).
+* ``circ`` -- the ``g = a`` term, the derivative part hits only the right
+  coefficient: ``u d^a o v d^b = u d^a(v) d^b``;
+* ``bullet`` -- the ``g = 0`` term, coefficients multiply and derivative
+  orders stack: ``u d^a . v d^b = u v d^(a+b)`` (commutative).
+
+For first-order ``X`` the sum has only those two terms, which is the split
+``X <> Y = X o Y + X . Y``.  The bullet product over the blocks of a set
+partition, :func:`opseries.combinat.partition_operator`, lives next to the
+partition type that validates its blocks.
 
 ``diamond`` is grounded semantically by :meth:`DiffOp.apply`:
 ``(X <> Y).apply(p) == X.apply(Y.apply(p))`` for every polynomial ``p``.
@@ -19,7 +25,7 @@ over sums:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .multipoly import (
     MultiIndex,
@@ -27,7 +33,6 @@ from .multipoly import (
     Scalar,
     _join_signed,
     _monomial_str,
-    index_add,
     index_binomial,
     sub_indices,
 )
@@ -144,13 +149,16 @@ class DiffOp:
 
     __rmul__ = __mul__
 
-    def diamond(self, other: DiffOp) -> DiffOp:
-        """Operator composition (associative)."""
+    def _product(
+        self, other: DiffOp, gammas: Callable[[MultiIndex], Iterable[MultiIndex]]
+    ) -> DiffOp:
+        # sum over generator pairs of C(alpha, gamma) u d^gamma(v) d^(alpha+beta-gamma),
+        # gamma running over gammas(alpha); each product is one choice of gammas
         self._check_same_space(other)
         acc: dict[MultiIndex, MultiPoly] = {}
         for alpha, u in self._terms.items():
             for beta, v in other._terms.items():
-                for gamma in sub_indices(alpha):
+                for gamma in gammas(alpha):
                     dv = v.partial(gamma)
                     if dv.is_zero():
                         continue
@@ -163,31 +171,18 @@ class DiffOp:
                     acc[key] = coeff if prev is None else prev + coeff
         return DiffOp(self._n, acc)
 
+    def diamond(self, other: DiffOp) -> DiffOp:
+        """Operator composition (associative): the full Leibniz sum over gamma <= alpha."""
+        return self._product(other, sub_indices)
+
     def circ(self, other: DiffOp) -> DiffOp:
         """White product: the left derivative acts on the right coefficient only."""
-        self._check_same_space(other)
-        acc: dict[MultiIndex, MultiPoly] = {}
-        for alpha, u in self._terms.items():
-            for beta, v in other._terms.items():
-                dv = v.partial(alpha)
-                if dv.is_zero():
-                    continue
-                coeff = u * dv
-                prev = acc.get(beta)
-                acc[beta] = coeff if prev is None else prev + coeff
-        return DiffOp(self._n, acc)
+        return self._product(other, lambda alpha: (alpha,))
 
     def bullet(self, other: DiffOp) -> DiffOp:
         """Black product: coefficients multiply, derivative orders add (commutative)."""
-        self._check_same_space(other)
-        acc: dict[MultiIndex, MultiPoly] = {}
-        for alpha, u in self._terms.items():
-            for beta, v in other._terms.items():
-                key = index_add(alpha, beta)
-                coeff = u * v
-                prev = acc.get(key)
-                acc[key] = coeff if prev is None else prev + coeff
-        return DiffOp(self._n, acc)
+        zero = ((0,) * self._n,)
+        return self._product(other, lambda alpha: zero)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         """Act on a polynomial: ``sum_beta u_beta * d^beta(p)``."""
@@ -289,36 +284,16 @@ def subset_operator(ops: Sequence[DiffOp], indices: Iterable[int]) -> DiffOp:
     return chain.circ(ops[head - 1])
 
 
-def partition_operator(ops: Sequence[DiffOp], partition) -> DiffOp:
-    """Bullet product of :func:`subset_operator` over the partition's blocks.
-
-    ``partition`` is either a ``SetPartition`` or any iterable of blocks
-    (iterables of 1-based indices) that partition ``1..len(ops)``.
-    Block order does not matter since the bullet product is commutative.
-    """
-    n = _check_op_list(ops)
-    m = len(ops)
-    blocks = [tuple(sorted(b)) for b in getattr(partition, "blocks", partition)]
-    seen: set[int] = set()
-    for block in blocks:
-        if not block:
-            raise ValueError("empty block in partition")
-        if seen & set(block):
-            raise ValueError("blocks are not disjoint")
-        seen |= set(block)
-    if seen != set(range(1, m + 1)):
-        raise ValueError(f"blocks do not partition 1..{m}")
-    out = unit_op(n)
-    for block in blocks:
-        out = out.bullet(subset_operator(ops, block))
-    return out
+def _diamond_powers(op: DiffOp, m: int) -> list[DiffOp]:
+    """``[unit, op, op <> op, ...]`` up to the m-th composition power."""
+    if m < 0:
+        raise ValueError(f"power must be non-negative, got {m}")
+    powers = [unit_op(op.n)]
+    for _ in range(m):
+        powers.append(powers[-1].diamond(op))
+    return powers
 
 
 def power_diamond(op: DiffOp, m: int) -> DiffOp:
     """m-fold composition power; the empty product is the unit operator."""
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
-    out = unit_op(op.n)
-    for _ in range(m):
-        out = out.diamond(op)
-    return out
+    return _diamond_powers(op, m)[-1]

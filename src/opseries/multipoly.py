@@ -170,6 +170,8 @@ class MultiPoly:
         alpha = tuple(alpha)
         if len(alpha) != self._n or any(e < 0 for e in alpha):
             raise ValueError(f"bad derivative multi-index {alpha} for {self._n} variables")
+        if not any(alpha):
+            return self  # immutable, so d^0 can hand back the instance itself
         out: dict[MultiIndex, Fraction] = {}
         for gamma, c in self._terms.items():
             if all(g >= a for g, a in zip(gamma, alpha)):

@@ -26,10 +26,39 @@ constant term and invertible linear coefficient:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .multipoly import Scalar, _join_signed
+
+T = TypeVar("T")
+
+
+def _exp_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], zero: T, one: T) -> list[T]:
+    # exponential of a z-series with exponential coefficients, over any ring
+    # given by its product, zero and one: g' = f'g, so
+    # g_{m+1} = sum_k C(m,k) f_{k+1} g_{m-k}; coeffs[0] must be zero
+    out = [one]
+    for m in range(len(coeffs) - 1):
+        term = zero
+        for k in range(m + 1):
+            term = term + math.comb(m, k) * mul(coeffs[k + 1], out[m - k])
+        out.append(term)
+    return out
+
+
+def _ln_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], zero: T) -> list[T]:
+    # logarithm by f g' = f': g_{m+1} = f_{m+1} - sum_{k<m} C(m,k) f_{m-k} g_{k+1};
+    # coeffs[0] must be one
+    out = [zero]
+    for m in range(len(coeffs) - 1):
+        term = coeffs[m + 1]
+        for k in range(m):
+            term = term - math.comb(m, k) * mul(coeffs[m - k], out[k + 1])
+        out.append(term)
+    return out
 
 
 class EgfSeries:
@@ -160,24 +189,13 @@ class EgfSeries:
         """Exponential; requires zero constant term."""
         if self._coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        out = [Fraction(1)]
-        for m in range(self.order):
-            out.append(
-                sum(math.comb(m, k) * self._coeffs[k + 1] * out[m - k] for k in range(m + 1))
-            )
-        return EgfSeries(out)
+        return EgfSeries(_exp_recurrence(self._coeffs, operator.mul, Fraction(0), Fraction(1)))
 
     def ln(self) -> EgfSeries:
         """Logarithm; requires constant term one."""
         if self._coeffs[0] != 1:
             raise ValueError("ln needs constant term one")
-        out = [Fraction(0)]
-        for m in range(self.order):
-            s = self._coeffs[m + 1] - sum(
-                math.comb(m, k) * self._coeffs[m - k] * out[k + 1] for k in range(m)
-            )
-            out.append(s)
-        return EgfSeries(out)
+        return EgfSeries(_ln_recurrence(self._coeffs, operator.mul, Fraction(0)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EgfSeries):
@@ -226,15 +244,22 @@ class InvertibleSeries:
         return self._series
 
 
-def _as_invertible(f: EgfSeries | InvertibleSeries) -> EgfSeries:
-    if isinstance(f, InvertibleSeries):
-        return f.series
-    return InvertibleSeries(f).series
-
-
-def _require_order(f: EgfSeries, needed: int) -> None:
+def _as_invertible(f: EgfSeries | InvertibleSeries, needed: int = 1) -> EgfSeries:
+    """The series behind ``f``, checked invertible and valid to order ``needed``."""
+    f = f.series if isinstance(f, InvertibleSeries) else InvertibleSeries(f).series
     if f.order < needed:
         raise ValueError(f"input series must be valid to order {needed}, has {f.order}")
+    return f
+
+
+def _iterates(f: EgfSeries, start: EgfSeries | None = None) -> Iterator[EgfSeries]:
+    # start (default 1/f') and its images under s -> (1/f') * s', without end;
+    # callers take as many as the start's order allows
+    w = f.derivative().reciprocal()
+    s = w if start is None else start
+    while True:
+        yield s
+        s = w * s.derivative()
 
 
 def classical_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
@@ -245,10 +270,9 @@ def classical_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     coefficient shift ``(f/x)_m = a_{m+1}/(m+1)``, then one reciprocal.
     Needs ``f`` valid to ``order + 1``.
     """
-    f = _as_invertible(f)
+    f = _as_invertible(f, order + 1)
     if order < 1:
         raise ValueError("order must be >= 1")
-    _require_order(f, order + 1)
     shifted = EgfSeries(f.coeffs[m + 1] / (m + 1) for m in range(order + 1))
     w = shifted.reciprocal()  # x/f, valid to `order`
     out = [Fraction(0)] * (order + 1)
@@ -278,11 +302,7 @@ def operator_iterate(
         )
     if count == 0:
         return start
-    w = f.derivative().reciprocal()
-    s = start
-    for _ in range(count):
-        s = w * s.derivative()
-    return s
+    return next(islice(_iterates(f, start), count, None))
 
 
 def operator_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
@@ -291,18 +311,10 @@ def operator_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     ``b_n`` is the constant term after ``n-1`` applications of
     ``(1/f') d/dx`` to ``1/f'``.  Needs ``f`` valid to ``order + 1``.
     """
-    f = _as_invertible(f)
+    f = _as_invertible(f, order + 1)
     if order < 1:
         raise ValueError("order must be >= 1")
-    _require_order(f, order + 1)
-    w = f.derivative().reciprocal()
-    out = [Fraction(0)] * (order + 1)
-    s = w
-    out[1] = s[0]
-    for n in range(2, order + 1):
-        s = w * s.derivative()
-        out[n] = s[0]
-    return EgfSeries(out)
+    return EgfSeries([Fraction(0)] + [s[0] for s in islice(_iterates(f), order)])
 
 
 def log_form_terms(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
@@ -312,17 +324,10 @@ def log_form_terms(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     coefficient 0 is always 1, so the result is a valid ``ln`` input.
     Needs ``f`` valid to ``order + 1``.
     """
-    f = _as_invertible(f)
+    f = _as_invertible(f, order + 1)
     if order < 0:
         raise ValueError("order must be non-negative")
-    _require_order(f, order + 1)
-    w = f.derivative().reciprocal()
-    out = [Fraction(1)]
-    s = EgfSeries.exp_x(order)
-    for _ in range(order):
-        s = w * s.derivative()
-        out.append(s[0])
-    return EgfSeries(out)
+    return EgfSeries(s[0] for s in islice(_iterates(f, EgfSeries.exp_x(order)), order + 1))
 
 
 def log_form_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
@@ -338,10 +343,9 @@ def newton_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     division.  Independent of the other three algorithms; needs ``f``
     valid to ``order``.
     """
-    f = _as_invertible(f)
+    f = _as_invertible(f, order)
     if order < 1:
         raise ValueError("order must be >= 1")
-    _require_order(f, order)
     a1 = f[1]
     out = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1):
@@ -393,7 +397,14 @@ def from_json_dict(data: dict) -> EgfSeries:
         raw = data["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"series object needs convention/order/coeffs: {exc}") from exc
-    coeffs = [Fraction(c) for c in raw]
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise ValueError(f"series order must be an integer, got {order!r}")
+    if not isinstance(raw, list):
+        raise ValueError(f"series coeffs must be a list, got {raw!r}")
+    try:
+        coeffs = [Fraction(c) for c in raw]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad series coefficient: {exc}") from exc
     if len(coeffs) != order + 1:
         raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(coeffs)}")
     if convention == "ogf":

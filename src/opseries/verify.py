@@ -13,15 +13,19 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from typing import Sequence
 
 from .combinat import bell_eval_bullet, set_partitions, stirling2
-from .diffop import DiffOp, power_diamond, unit_op
+from .diffop import DiffOp, _check_op_list, _diamond_powers, power_diamond, unit_op
 from .multipoly import MultiIndex, MultiPoly
 from .series import (
     EgfSeries,
     InvertibleSeries,
+    _as_invertible,
+    _exp_recurrence,
+    _ln_recurrence,
     classical_inverse,
     log_form_inverse,
     newton_inverse,
@@ -212,25 +216,16 @@ def verify_partition_expansion(ops: Sequence[DiffOp], description: str = "") -> 
 
     The left side is ``L_m <> ... <> L_1``; the right side sums, over every
     partition of ``{1..m}``, the bullet product of per-block operators
-    ``(chain of non-minimal elements) o (minimal element)``.  Block
-    operators are assembled once per subset (they depend only on the
-    subset), which keeps the sum near-linear in the partition count.
+    ``(chain of non-minimal elements) o (minimal element)``.  Chains and
+    block operators are assembled once per subset in one table (they
+    depend only on the subset), which keeps the sum near-linear in the
+    partition count.  The left side is the table's chain for the full set:
+    the same fold, so it costs no further composition.
     """
     started = time.perf_counter()
     ops = list(ops)
+    n = _check_op_list(ops)
     m = len(ops)
-    if m < 1:
-        raise ValueError("need at least one operator")
-    n = ops[0].n
-    for k, op in enumerate(ops, start=1):
-        if op.n != n:
-            raise ValueError("all operators must share the same variable count")
-        if not op.is_first_order():
-            raise ValueError(f"operator {k} is not first order")
-
-    lhs = ops[m - 1]
-    for i in range(m - 1, 0, -1):
-        lhs = lhs.diamond(ops[i - 1])
 
     # chains[S] = L_{max S} <> ... <> L_{min S}; peel the minimum each step
     chains: dict[frozenset, DiffOp] = {frozenset(): unit_op(n)}
@@ -246,10 +241,8 @@ def verify_partition_expansion(ops: Sequence[DiffOp], description: str = "") -> 
     partitions = set_partitions(m)
     rhs = DiffOp.zero(n)
     for part in partitions:
-        term = unit_op(n)
-        for block in part.blocks:
-            term = term.bullet(block_ops[frozenset(block)])
-        rhs = rhs + term
+        rhs = rhs + reduce(DiffOp.bullet, (block_ops[frozenset(b)] for b in part.blocks))
+    lhs = chains[frozenset(range(1, m + 1))]
 
     desc = f"{description} m={m} summands={len(partitions)}".strip()
     return _report("compos", desc, lhs, rhs, started)
@@ -266,35 +259,6 @@ def verify_bell_power(op: DiffOp, m: int, description: str = "") -> VerifyReport
     return _report("bellpower", desc, lhs, rhs, started)
 
 
-def _bullet_series_exp(coeffs: list[DiffOp]) -> list[DiffOp]:
-    # exponential of an operator-valued z-series under the bullet product,
-    # in exponential z-convention; coeffs[0] must be the zero operator
-    n = coeffs[0].n
-    from math import comb
-
-    out = [unit_op(n)]
-    for m in range(len(coeffs) - 1):
-        term = DiffOp.zero(n)
-        for k in range(m + 1):
-            term = term + comb(m, k) * coeffs[k + 1].bullet(out[m - k])
-        out.append(term)
-    return out
-
-
-def _bullet_series_ln(coeffs: list[DiffOp]) -> list[DiffOp]:
-    # logarithm under the bullet product; coeffs[0] must be the unit operator
-    n = coeffs[0].n
-    from math import comb
-
-    out = [DiffOp.zero(n)]
-    for m in range(len(coeffs) - 1):
-        term = coeffs[m + 1]
-        for k in range(m):
-            term = term - comb(m, k) * coeffs[m - k].bullet(out[k + 1])
-        out.append(term)
-    return out
-
-
 def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> VerifyReport:
     """Generating-function identity for composition powers, checked per z-coefficient.
 
@@ -307,13 +271,12 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
         raise ValueError("operator must be first order")
     if z_order < 0:
         raise ValueError("z-order must be non-negative")
-    n = op.n
-    powers = [unit_op(n)]
-    for _ in range(z_order):
-        powers.append(powers[-1].diamond(op))
-    inner = [DiffOp.zero(n)] + [powers[m - 1].circ(op) for m in range(1, z_order + 1)]
-    exp_side = _bullet_series_exp(inner)
-    ln_side = _bullet_series_ln(powers)
+    zero = DiffOp.zero(op.n)
+    powers = _diamond_powers(op, z_order)
+    inner = [zero] + [p.circ(op) for p in powers[:-1]]
+    # exp and ln of operator-valued z-series under the bullet product
+    exp_side = _exp_recurrence(inner, DiffOp.bullet, zero, unit_op(op.n))
+    ln_side = _ln_recurrence(powers, DiffOp.bullet, zero)
 
     left_lines = [f"z^{m}: {powers[m]}" for m in range(z_order + 1)]
     left_lines += [f"ln z^{m}: {inner[m]}" for m in range(z_order + 1)]
@@ -334,9 +297,7 @@ def verify_exp_identity_xd(z_order: int) -> VerifyReport:
     if z_order < 0:
         raise ValueError("z-order must be non-negative")
     xd = DiffOp.single(MultiPoly.variable(1, 0), (1,))
-    powers = [unit_op(1)]
-    for _ in range(z_order):
-        powers.append(powers[-1].diamond(xd))
+    powers = _diamond_powers(xd, z_order)
 
     em1 = EgfSeries([0] + [1] * z_order)  # e^z - 1
     rhs = [DiffOp.zero(1) for _ in range(z_order + 1)]
@@ -385,9 +346,7 @@ def verify_inversion(
     line for line.
     """
     started = time.perf_counter()
-    f = InvertibleSeries(f).series if isinstance(f, EgfSeries) else f.series
-    if f.order < order + 1:
-        raise ValueError(f"input series must be valid to order {order + 1}, has {f.order}")
+    f = _as_invertible(f, order + 1)
     g_classical = classical_inverse(f, order)
     g_operator = operator_inverse(f, order)
     g_log = log_form_inverse(f, order)
@@ -438,6 +397,12 @@ def run_suite(
     identity, plus the x*d specialization), ``stirling`` (normal form of
     powers of x*d), ``inversion`` (four-way inverse agreement).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if n < 1:
+        raise ValueError(f"variable count n must be at least 1, got {n}")
+    if degree < 0:
+        raise ValueError(f"degree bound must be non-negative, got {degree}")
     spec = RandomSpec(seed=seed, n=n, max_degree=degree)
     if name == "prop1":
         return verify_product_identities(spec, trials)

@@ -4,6 +4,8 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
+
 from opseries import EgfSeries, from_json_dict
 from opseries.cli import main
 
@@ -110,6 +112,24 @@ class TestInvert:
         code, _, err = run(["invert", "--order", "2", "--coeffs", "0,one,2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "order,coeffs,contract",
+        [
+            ("2", ["0", "1", "1"], "order must be an integer"),
+            (True, ["0", "1"], "order must be an integer"),
+            (2, "012", "coeffs must be a list"),
+            (2, ["0", "1", "1/0"], "bad series coefficient"),
+            (2, ["0", "1", None], "bad series coefficient"),
+        ],
+    )
+    def test_malformed_input_file_exits_2(self, tmp_path, capsys, order, coeffs, contract):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"convention": "egf", "order": order, "coeffs": coeffs}))
+        code, out, err = run(["invert", "--order", "1", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert contract in err
+
 
 class TestVerify:
     def test_compos_example(self, capsys):
@@ -133,6 +153,22 @@ class TestVerify:
         reports = json.loads(out)
         assert len(reports) == 50
         assert all(r["passed"] for r in reports)
+
+    @pytest.mark.parametrize(
+        "argv,contract",
+        [
+            (["prop1", "--trials", "0"], "trials must be at least 1"),
+            (["prop1", "--trials", "-3"], "trials must be at least 1"),
+            (["compos", "--trials", "0"], "trials must be at least 1"),
+            (["prop1", "--n", "0"], "variable count n must be at least 1"),
+            (["corollary", "--degree", "-1"], "degree bound must be non-negative"),
+        ],
+    )
+    def test_sizes_outside_contract_exit_2(self, capsys, argv, contract):
+        code, out, err = run(["verify"] + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert contract in err
 
     def test_unknown_theorem_exits_2(self, capsys):
         code, _, _ = run(["verify", "prop99"], capsys)

@@ -14,6 +14,7 @@ from opseries import (
     bell_polynomial,
     integer_partitions,
     partition_class_count,
+    partition_operator,
     set_partitions,
     stirling2,
     unit_op,
@@ -80,16 +81,47 @@ class TestSetPartitions:
             set_partitions(13)
 
     def test_invalid_partition_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="do not cover"):
             SetPartition(3, ((1, 2),))  # misses 3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not disjoint"):
             SetPartition(3, ((1, 2), (2, 3)))  # overlap
+        for blocks in [((), (1, 2, 3)), ((1, 2, 3), ())]:
+            with pytest.raises(ValueError, match="empty block"):
+                SetPartition(3, blocks)
 
     def test_rendering(self):
         assert str(SetPartition(3, ((2,), (1, 3)))) == "13-2"
         # elements get comma-separated once two-digit labels appear
         wide = SetPartition(10, (tuple(range(1, 10)), (10,)))
         assert str(wide) == "1,2,3,4,5,6,7,8,9-10"
+
+
+class TestPartitionOperator:
+    """The bullet product over a partition's blocks validates them as a SetPartition."""
+
+    @staticmethod
+    def ops():
+        x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        return [
+            DiffOp.vector_field([x2, MultiPoly.const(2, 1)]),
+            DiffOp.vector_field([x1 * x2, x1]),
+            DiffOp.vector_field([MultiPoly.const(2, 2), x2 * x2]),
+        ]
+
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            [{1, 2}],  # misses 3
+            [{1, 2}, {2, 3}],  # overlap
+            [set(), {1, 2, 3}],  # empty block
+            [{1, 2, 3}, {4}],  # element outside 1..3
+            SetPartition(2, ((1, 2),)),  # partition of the wrong ground set
+            SetPartition(4, ((1, 2), (3, 4))),
+        ],
+    )
+    def test_invalid_partition_rejected(self, partition):
+        with pytest.raises(ValueError):
+            partition_operator(self.ops(), partition)
 
 
 class TestIntegerPartitions:

@@ -295,6 +295,14 @@ class TestSerialization:
             from_json_dict({"convention": "laurent", "order": 0, "coeffs": ["1"]})
         with pytest.raises(ValueError):
             from_json_dict({"order": 0, "coeffs": ["1"]})
+        with pytest.raises(ValueError, match="order must be an integer"):
+            from_json_dict({"convention": "egf", "order": "2", "coeffs": ["0", "1", "1"]})
+        with pytest.raises(ValueError, match="order must be an integer"):
+            from_json_dict({"convention": "egf", "order": True, "coeffs": ["0", "1"]})
+        with pytest.raises(ValueError, match="coeffs must be a list"):
+            from_json_dict({"convention": "egf", "order": 2, "coeffs": "012"})
+        with pytest.raises(ValueError, match="bad series coefficient"):
+            from_json_dict({"convention": "egf", "order": 1, "coeffs": ["0", "1/0"]})
 
 
 class TestRendering:
