@@ -16,7 +16,7 @@ from .combinat import bell_polynomial, set_partitions
 from .series import (
     EgfSeries,
     INVERSE_METHODS,
-    InvertibleSeries,
+    _inverse_input,
     from_json_dict,
     log_form_terms,
     ogf_to_egf,
@@ -51,12 +51,7 @@ def _cmd_invert(args) -> int:
     order = args.order
     methods = list(INVERSE_METHODS) if args.method == "all" else [args.method]
     needed = order if methods == ["newton"] else order + 1
-    InvertibleSeries(f)  # raises with the violated contract named
-    if f.order < needed:
-        raise ValueError(
-            f"method {args.method!r} at order {order} needs input valid to order {needed}, "
-            f"got {f.order}"
-        )
+    f = _inverse_input(f, order, needed)  # raises with the violated contract named
 
     results = {name: INVERSE_METHODS[name](f, order) for name in methods}
     inverse = results[methods[0]]

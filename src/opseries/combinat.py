@@ -209,11 +209,8 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     generators = [p.circ(op) for p in _diamond_powers(op, m - 1)]  # [i-1]: op^{i-1} o op
     total = DiffOp.zero(n)
     for part, count in bell_polynomial(m).terms.items():
-        factor = unit_op(n)
-        for size, mult in enumerate(part.multiplicities, start=1):
-            for _ in range(mult):
-                factor = factor.bullet(generators[size - 1])
-        total = total + count * factor
+        factors = [g for g, mult in zip(generators, part.multiplicities) for _ in range(mult)]
+        total = total + count * reduce(DiffOp.bullet, factors)
     return total
 
 

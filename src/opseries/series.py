@@ -252,6 +252,13 @@ def _as_invertible(f: EgfSeries | InvertibleSeries, needed: int = 1) -> EgfSerie
     return f
 
 
+def _inverse_input(f: EgfSeries | InvertibleSeries, order: int, needed: int) -> EgfSeries:
+    """``_as_invertible(f, needed)`` for an inverse of ``order >= 1``: the methods' contract."""
+    if order < 1:
+        raise ValueError(f"inverse order must be >= 1, got {order}")
+    return _as_invertible(f, needed)
+
+
 def _iterates(f: EgfSeries, start: EgfSeries | None = None) -> Iterator[EgfSeries]:
     # start (default 1/f') and its images under s -> (1/f') * s', without end;
     # callers take as many as the start's order allows
@@ -270,9 +277,7 @@ def classical_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     coefficient shift ``(f/x)_m = a_{m+1}/(m+1)``, then one reciprocal.
     Needs ``f`` valid to ``order + 1``.
     """
-    f = _as_invertible(f, order + 1)
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    f = _inverse_input(f, order, order + 1)
     shifted = EgfSeries(f.coeffs[m + 1] / (m + 1) for m in range(order + 1))
     w = shifted.reciprocal()  # x/f, valid to `order`
     out = [Fraction(0)] * (order + 1)
@@ -311,9 +316,7 @@ def operator_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     ``b_n`` is the constant term after ``n-1`` applications of
     ``(1/f') d/dx`` to ``1/f'``.  Needs ``f`` valid to ``order + 1``.
     """
-    f = _as_invertible(f, order + 1)
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    f = _inverse_input(f, order, order + 1)
     return EgfSeries([Fraction(0)] + [s[0] for s in islice(_iterates(f), order)])
 
 
@@ -332,7 +335,7 @@ def log_form_terms(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
 
 def log_form_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     """Compositional inverse as the log of the operator-iterate series."""
-    return log_form_terms(f, order).ln()
+    return log_form_terms(_inverse_input(f, order, order + 1), order).ln()
 
 
 def newton_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
@@ -343,9 +346,7 @@ def newton_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     division.  Independent of the other three algorithms; needs ``f``
     valid to ``order``.
     """
-    f = _as_invertible(f, order)
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    f = _inverse_input(f, order, order)
     a1 = f[1]
     out = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1):
@@ -401,9 +402,12 @@ def from_json_dict(data: dict) -> EgfSeries:
         raise ValueError(f"series order must be an integer, got {order!r}")
     if not isinstance(raw, list):
         raise ValueError(f"series coeffs must be a list, got {raw!r}")
+    for c in raw:  # a JSON float is already inexact, and a bool is not a number
+        if isinstance(c, bool) or not isinstance(c, (int, str)):
+            raise ValueError(f"bad series coefficient {c!r}: need an integer or a \"p/q\" string")
     try:
         coeffs = [Fraction(c) for c in raw]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad series coefficient: {exc}") from exc
     if len(coeffs) != order + 1:
         raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(coeffs)}")

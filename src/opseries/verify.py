@@ -1,8 +1,9 @@
 """Executable verification of the package's algebraic identities.
 
-Every checker renders both sides of an identity in canonical form and
-reports pass/fail as literal string equality of the two renderings, so a
-passing report certifies structural equality, not sampled agreement.
+Every checker computes both sides of an identity and decides pass/fail
+by ``==`` on the computed values (operators, series, or lists of labelled
+ones), so a passing report certifies structural equality, not sampled
+agreement.  Both sides are rendered in canonical form only for output.
 Random instances are drawn from seeded generators; a report carries its
 seed and sizes, which is enough to regenerate the instance exactly.
 """
@@ -11,11 +12,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .combinat import bell_eval_bullet, set_partitions, stirling2
 from .diffop import DiffOp, _check_op_list, _diamond_powers, power_diamond, unit_op
@@ -23,8 +24,8 @@ from .multipoly import MultiIndex, MultiPoly
 from .series import (
     EgfSeries,
     InvertibleSeries,
-    _as_invertible,
     _exp_recurrence,
+    _inverse_input,
     _ln_recurrence,
     classical_inverse,
     log_form_inverse,
@@ -55,8 +56,6 @@ class RandomSpec:
     seed: int
     n: int = 2
     max_degree: int = 2
-    pool: tuple[Fraction, ...] = DEFAULT_POOL
-    size: int = 3  # m or N, depending on the suite
 
 
 @dataclass
@@ -82,59 +81,82 @@ class VerifyReport:
         }
 
 
+def _render(side) -> str:
+    # a multi-line side is a list of (label, value) pairs, one "label: value" line each
+    if isinstance(side, list):
+        return "\n".join(f"{label}: {value}" for label, value in side)
+    return str(side)
+
+
 def _report(theorem: str, description: str, left, right, started: float) -> VerifyReport:
-    ls, rs = str(left), str(right)
-    return VerifyReport(theorem, description, ls, rs, ls == rs, time.perf_counter() - started)
+    return VerifyReport(
+        theorem, description, _render(left), _render(right), left == right,
+        time.perf_counter() - started,
+    )
 
 
 def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
+def _trials(
+    spec: RandomSpec, trials: int, sized: bool = True
+) -> Iterator[tuple[random.Random, str]]:
+    # each trial's seeded stream and the description that regenerates it
+    for t in range(trials):
+        desc = f"seed={spec.seed} trial={t}"
+        if sized:
+            desc += f" n={spec.n} degree<={spec.max_degree}"
+        yield random.Random(_trial_seed(spec.seed, t)), desc
+
+
 def _indices_up_to(n: int, bound: int) -> list[MultiIndex]:
     return [t for t in product(range(bound + 1), repeat=n) if sum(t) <= bound]
 
 
-def _poly_from_rng(rng: random.Random, n, max_degree, pool) -> MultiPoly:
-    monomials = _indices_up_to(n, max_degree)
+def _poly_from_rng(rng: random.Random, spec: RandomSpec) -> MultiPoly:
+    monomials = _indices_up_to(spec.n, spec.max_degree)
     chosen = rng.sample(monomials, rng.randint(1, min(3, len(monomials))))
-    return MultiPoly(n, {alpha: rng.choice(pool) for alpha in chosen})
+    return MultiPoly(spec.n, {alpha: rng.choice(DEFAULT_POOL) for alpha in chosen})
 
 
-def _vector_field_from_rng(rng: random.Random, n, max_degree, pool) -> DiffOp:
-    return DiffOp.vector_field([_poly_from_rng(rng, n, max_degree, pool) for _ in range(n)])
+def _vector_field_from_rng(rng: random.Random, spec: RandomSpec) -> DiffOp:
+    return DiffOp.vector_field([_poly_from_rng(rng, spec) for _ in range(spec.n)])
 
 
-def _diffop_from_rng(rng: random.Random, n, max_degree, pool, max_order=2) -> DiffOp:
-    betas = _indices_up_to(n, max_order)
+def _diffop_from_rng(rng: random.Random, spec: RandomSpec, max_order: int = 2) -> DiffOp:
+    betas = _indices_up_to(spec.n, max_order)
     chosen = rng.sample(betas, rng.randint(1, 2))
-    return DiffOp(n, {beta: _poly_from_rng(rng, n, max_degree, pool) for beta in chosen})
+    return DiffOp(spec.n, {beta: _poly_from_rng(rng, spec) for beta in chosen})
+
+
+def _op_list_from_rng(rng: random.Random, spec: RandomSpec, m: int) -> list[DiffOp]:
+    return [_vector_field_from_rng(rng, spec) for _ in range(m)]
+
+
+def _series_from_rng(rng: random.Random, order: int) -> EgfSeries:
+    coeffs = [Fraction(0), rng.choice(LEAD_POOL)]
+    return EgfSeries(coeffs + [rng.choice(DEFAULT_POOL) for _ in range(order - 1)])
 
 
 def random_vector_field(spec: RandomSpec) -> DiffOp:
     """First-order operator with random bounded-degree coefficients, seed-determined."""
-    rng = random.Random(spec.seed)
-    return _vector_field_from_rng(rng, spec.n, spec.max_degree, spec.pool)
+    return _vector_field_from_rng(random.Random(spec.seed), spec)
 
 
 def random_diffop(spec: RandomSpec, max_order: int = 2) -> DiffOp:
     """Operator with random terms of derivative order up to ``max_order``."""
-    rng = random.Random(spec.seed)
-    return _diffop_from_rng(rng, spec.n, spec.max_degree, spec.pool, max_order)
+    return _diffop_from_rng(random.Random(spec.seed), spec, max_order)
 
 
 def random_op_list(spec: RandomSpec, m: int) -> list[DiffOp]:
     """m first-order operators drawn from one seeded stream."""
-    rng = random.Random(spec.seed)
-    return [_vector_field_from_rng(rng, spec.n, spec.max_degree, spec.pool) for _ in range(m)]
+    return _op_list_from_rng(random.Random(spec.seed), spec, m)
 
 
 def random_invertible_series(spec: RandomSpec, order: int) -> EgfSeries:
     """Invertible series of the given order with pool coefficients."""
-    rng = random.Random(spec.seed)
-    coeffs = [Fraction(0), rng.choice(LEAD_POOL)]
-    coeffs += [rng.choice(spec.pool) for _ in range(order - 1)]
-    return EgfSeries(coeffs)
+    return _series_from_rng(random.Random(spec.seed), order)
 
 
 def _associator(x: DiffOp, y: DiffOp, z: DiffOp) -> DiffOp:
@@ -150,14 +172,9 @@ def verify_product_identities(spec: RandomSpec, trials: int) -> list[VerifyRepor
     required.
     """
     reports: list[VerifyReport] = []
-    for trial in range(trials):
-        rng = random.Random(_trial_seed(spec.seed, trial))
-        a = _diffop_from_rng(rng, spec.n, spec.max_degree, spec.pool)
-        b = _diffop_from_rng(rng, spec.n, spec.max_degree, spec.pool)
-        c = _diffop_from_rng(rng, spec.n, spec.max_degree, spec.pool)
-        u = _vector_field_from_rng(rng, spec.n, spec.max_degree, spec.pool)
-        v = _vector_field_from_rng(rng, spec.n, spec.max_degree, spec.pool)
-        desc = f"seed={spec.seed} trial={trial} n={spec.n} degree<={spec.max_degree}"
+    for rng, desc in _trials(spec, trials):
+        a, b, c = (_diffop_from_rng(rng, spec) for _ in range(3))
+        u, v = (_vector_field_from_rng(rng, spec) for _ in range(2))
 
         started = time.perf_counter()
         lhs = a.diamond(b.diamond(c))
@@ -192,12 +209,9 @@ def verify_product_identities(spec: RandomSpec, trials: int) -> list[VerifyRepor
 def verify_composition_split(spec: RandomSpec, trials: int) -> list[VerifyReport]:
     """First-order corollaries: X o (Y o Z) = (X <> Y) o Z and X <> Y = X o Y + X . Y."""
     reports: list[VerifyReport] = []
-    for trial in range(trials):
-        rng = random.Random(_trial_seed(spec.seed, trial))
-        u = _vector_field_from_rng(rng, spec.n, spec.max_degree, spec.pool)
-        b = _diffop_from_rng(rng, spec.n, spec.max_degree, spec.pool)
-        c = _diffop_from_rng(rng, spec.n, spec.max_degree, spec.pool)
-        desc = f"seed={spec.seed} trial={trial} n={spec.n} degree<={spec.max_degree}"
+    for rng, desc in _trials(spec, trials):
+        u = _vector_field_from_rng(rng, spec)
+        b, c = (_diffop_from_rng(rng, spec) for _ in range(2))
 
         started = time.perf_counter()
         lhs = u.circ(b.circ(c))
@@ -226,11 +240,13 @@ def verify_partition_expansion(ops: Sequence[DiffOp], description: str = "") -> 
     ops = list(ops)
     n = _check_op_list(ops)
     m = len(ops)
+    partitions = set_partitions(m)  # enforces the size cap before the 2^m table
 
-    # chains[S] = L_{max S} <> ... <> L_{min S}; peel the minimum each step
-    chains: dict[frozenset, DiffOp] = {frozenset(): unit_op(n)}
-    block_ops: dict[frozenset, DiffOp] = {}
-    for size in range(1, m + 1):
+    # chains[S] = L_{max S} <> ... <> L_{min S}; peel the minimum each step.
+    # A singleton's chain and block operator are the operator itself.
+    chains: dict[frozenset, DiffOp] = {frozenset([k]): op for k, op in enumerate(ops, start=1)}
+    block_ops = dict(chains)
+    for size in range(2, m + 1):
         for subset in combinations(range(1, m + 1), size):
             key = frozenset(subset)
             head = subset[0]  # combinations are sorted, so this is min
@@ -238,7 +254,6 @@ def verify_partition_expansion(ops: Sequence[DiffOp], description: str = "") -> 
             chains[key] = chains[rest].diamond(ops[head - 1])
             block_ops[key] = chains[rest].circ(ops[head - 1])
 
-    partitions = set_partitions(m)
     rhs = DiffOp.zero(n)
     for part in partitions:
         rhs = rhs + reduce(DiffOp.bullet, (block_ops[frozenset(b)] for b in part.blocks))
@@ -278,12 +293,11 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
     exp_side = _exp_recurrence(inner, DiffOp.bullet, zero, unit_op(op.n))
     ln_side = _ln_recurrence(powers, DiffOp.bullet, zero)
 
-    left_lines = [f"z^{m}: {powers[m]}" for m in range(z_order + 1)]
-    left_lines += [f"ln z^{m}: {inner[m]}" for m in range(z_order + 1)]
-    right_lines = [f"z^{m}: {exp_side[m]}" for m in range(z_order + 1)]
-    right_lines += [f"ln z^{m}: {ln_side[m]}" for m in range(z_order + 1)]
+    z = range(z_order + 1)
+    left = [(f"z^{m}", powers[m]) for m in z] + [(f"ln z^{m}", inner[m]) for m in z]
+    right = [(f"z^{m}", exp_side[m]) for m in z] + [(f"ln z^{m}", ln_side[m]) for m in z]
     desc = f"{description} z_order={z_order}".strip()
-    return _report("expid", desc, "\n".join(left_lines), "\n".join(right_lines), started)
+    return _report("expid", desc, left, right, started)
 
 
 def verify_exp_identity_xd(z_order: int) -> VerifyReport:
@@ -312,8 +326,8 @@ def verify_exp_identity_xd(z_order: int) -> VerifyReport:
             if c:
                 rhs[m] = rhs[m] + DiffOp(1, {(i,): MultiPoly(1, {(i,): c})})
 
-    left = "\n".join(f"z^{m}: {powers[m]}" for m in range(z_order + 1))
-    right = "\n".join(f"z^{m}: {rhs[m]}" for m in range(z_order + 1))
+    left = [(f"z^{m}", powers[m]) for m in range(z_order + 1)]
+    right = [(f"z^{m}", rhs[m]) for m in range(z_order + 1)]
     return _report("expid.xd", f"z_order={z_order}", left, right, started)
 
 
@@ -342,11 +356,12 @@ def verify_inversion(
     """All four inverse algorithms must agree and invert under composition.
 
     The expected side pins everything to the classical result and the
-    identity series; the report passes exactly when the renderings match
-    line for line.
+    identity series; the report passes exactly when every labelled series
+    equals its expected one under ``==``.  The renderings, one line per
+    label, are for output only.
     """
     started = time.perf_counter()
-    f = _as_invertible(f, order + 1)
+    f = _inverse_input(f, order, order + 1)
     g_classical = classical_inverse(f, order)
     g_operator = operator_inverse(f, order)
     g_log = log_form_inverse(f, order)
@@ -355,26 +370,9 @@ def verify_inversion(
     f_after_g = f.truncate(order).compose(g_classical)
     g_after_f = g_classical.compose(f.truncate(order))
 
-    left = "\n".join(
-        [
-            f"classical: {g_classical}",
-            f"operator: {g_classical}",
-            f"log: {g_classical}",
-            f"newton: {g_classical}",
-            f"f(g): {ident}",
-            f"g(f): {ident}",
-        ]
-    )
-    right = "\n".join(
-        [
-            f"classical: {g_classical}",
-            f"operator: {g_operator}",
-            f"log: {g_log}",
-            f"newton: {g_newton}",
-            f"f(g): {f_after_g}",
-            f"g(f): {g_after_f}",
-        ]
-    )
+    labels = ("classical", "operator", "log", "newton", "f(g)", "g(f)")
+    left = list(zip(labels, [g_classical] * 4 + [ident] * 2))
+    right = list(zip(labels, [g_classical, g_operator, g_log, g_newton, f_after_g, g_after_f]))
     desc = f"{description} order={order} a1={f[1]}".strip()
     return _report("inversion", desc, left, right, started)
 
@@ -411,31 +409,20 @@ def run_suite(
     if name == "compos":
         size = 3 if m is None else m
         return [
-            verify_partition_expansion(
-                random_op_list(replace(spec, seed=_trial_seed(seed, t)), size),
-                description=f"seed={seed} trial={t} n={n} degree<={degree}",
-            )
-            for t in range(trials)
+            verify_partition_expansion(_op_list_from_rng(rng, spec, size), desc)
+            for rng, desc in _trials(spec, trials)
         ]
     if name == "bellpower":
         size = 4 if m is None else m
         return [
-            verify_bell_power(
-                random_vector_field(replace(spec, seed=_trial_seed(seed, t))),
-                size,
-                description=f"seed={seed} trial={t} n={n} degree<={degree}",
-            )
-            for t in range(trials)
+            verify_bell_power(_vector_field_from_rng(rng, spec), size, desc)
+            for rng, desc in _trials(spec, trials)
         ]
     if name == "expid":
         z_order = 5 if order is None else order
         reports = [
-            verify_exp_identity(
-                random_vector_field(replace(spec, seed=_trial_seed(seed, t))),
-                z_order,
-                description=f"seed={seed} trial={t} n={n} degree<={degree}",
-            )
-            for t in range(trials)
+            verify_exp_identity(_vector_field_from_rng(rng, spec), z_order, desc)
+            for rng, desc in _trials(spec, trials)
         ]
         reports.append(verify_exp_identity_xd(z_order))
         return reports
@@ -443,13 +430,10 @@ def run_suite(
         size = 6 if m is None else m
         return [verify_stirling_power(size)]
     if name == "inversion":
+        # the instance depends on neither n nor degree, so neither is described
         size = 8 if order is None else order
         return [
-            verify_inversion(
-                random_invertible_series(replace(spec, seed=_trial_seed(seed, t)), size + 1),
-                size,
-                description=f"seed={seed} trial={t}",
-            )
-            for t in range(trials)
+            verify_inversion(_series_from_rng(rng, size + 1), size, desc)
+            for rng, desc in _trials(spec, trials, sized=False)
         ]
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

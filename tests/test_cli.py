@@ -112,6 +112,15 @@ class TestInvert:
         code, _, err = run(["invert", "--order", "2", "--coeffs", "0,one,2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["log", "all"])
+    def test_order_zero_exits_2(self, capsys, method):
+        code, out, err = run(
+            ["invert", "--method", method, "--order", "0", "--coeffs", "0,1,1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "order must be >= 1" in err
+
     @pytest.mark.parametrize(
         "order,coeffs,contract",
         [
@@ -120,6 +129,8 @@ class TestInvert:
             (2, "012", "coeffs must be a list"),
             (2, ["0", "1", "1/0"], "bad series coefficient"),
             (2, ["0", "1", None], "bad series coefficient"),
+            (2, [0, 1, 0.1], "bad series coefficient"),
+            (2, [0, True, 1], "bad series coefficient"),
         ],
     )
     def test_malformed_input_file_exits_2(self, tmp_path, capsys, order, coeffs, contract):
@@ -162,6 +173,7 @@ class TestVerify:
             (["compos", "--trials", "0"], "trials must be at least 1"),
             (["prop1", "--n", "0"], "variable count n must be at least 1"),
             (["corollary", "--degree", "-1"], "degree bound must be non-negative"),
+            (["compos", "--m", "13"], "m <= 12"),
         ],
     )
     def test_sizes_outside_contract_exit_2(self, capsys, argv, contract):

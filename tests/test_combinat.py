@@ -15,6 +15,7 @@ from opseries import (
     integer_partitions,
     partition_class_count,
     partition_operator,
+    power_diamond,
     set_partitions,
     stirling2,
     unit_op,
@@ -247,3 +248,15 @@ class TestBellEvalBullet:
     def test_rejects_higher_order(self):
         with pytest.raises(ValueError):
             bell_eval_bullet(2, DiffOp(1, {(2,): MultiPoly.const(1, 1)}))
+
+    def test_monomials_start_from_a_generator(self, monkeypatch):
+        # the unit is the bullet identity, so a product with it is wasted work
+        unit, bullet = unit_op(2), DiffOp.bullet
+
+        def guarded(x, y):
+            assert unit not in (x, y)
+            return bullet(x, y)
+
+        monkeypatch.setattr(DiffOp, "bullet", guarded)
+        field = self.generic_field()
+        assert bell_eval_bullet(4, field) == power_diamond(field, 4)

@@ -37,6 +37,28 @@ def egf_mul_oracle(a, b):
     ]
 
 
+def double_factorial(k):
+    return math.prod(range(k, 0, -2))  # (-1)!! = 0!! = 1
+
+
+def catalan(k):
+    return math.comb(2 * k, k) // (k + 1)
+
+
+# closed-form inverse pairs, as egf coefficient formulas for m >= 1
+CLOSED_FORM_PAIRS = {
+    "expm1-log1p": (lambda m: 1, lambda m: (-1) ** (m - 1) * math.factorial(m - 1)),
+    "sin-arcsin": (
+        lambda m: (-1) ** (m // 2) if m % 2 else 0,
+        lambda m: double_factorial(m - 2) ** 2 if m % 2 else 0,
+    ),
+    "x-x^2-catalan": (
+        lambda m: {1: 1, 2: -2}.get(m, 0),
+        lambda m: math.factorial(m) * catalan(m - 1),
+    ),
+}
+
+
 def x_exp_minus_x(order):
     """x e^{-x}: coefficient m is (-1)^(m-1) m."""
     return EgfSeries([0] + [Fraction((-1) ** (m - 1) * m) for m in range(1, order + 1)])
@@ -265,6 +287,25 @@ class TestInverseMethods:
             slack = fn(f_long, 8)
             assert tight == slack, name
 
+    @pytest.mark.parametrize("name", list(INVERSE_METHODS))
+    def test_order_below_one_rejected(self, name):
+        for order in (0, -1):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                INVERSE_METHODS[name](x_exp_minus_x(6), order)
+
+    def test_log_form_terms_keeps_order_zero(self):
+        assert log_form_terms(x_exp_minus_x(6), 0) == EgfSeries([1])
+
+    @pytest.mark.parametrize("name", list(INVERSE_METHODS))
+    @pytest.mark.parametrize("pair", list(CLOSED_FORM_PAIRS))
+    def test_closed_form_pairs(self, pair, name):
+        order = 12
+        forward, backward = CLOSED_FORM_PAIRS[pair]
+        for f, g in [(forward, backward), (backward, forward)]:
+            source = EgfSeries([0] + [f(m) for m in range(1, order + 2)])
+            expected = EgfSeries([0] + [g(m) for m in range(1, order + 1)])
+            assert INVERSE_METHODS[name](source, order) == expected
+
     def test_a1_zero_rejected(self):
         for fn in INVERSE_METHODS.values():
             with pytest.raises(ValueError, match="a1"):
@@ -303,6 +344,14 @@ class TestSerialization:
             from_json_dict({"convention": "egf", "order": 2, "coeffs": "012"})
         with pytest.raises(ValueError, match="bad series coefficient"):
             from_json_dict({"convention": "egf", "order": 1, "coeffs": ["0", "1/0"]})
+        with pytest.raises(ValueError, match="bad series coefficient"):
+            from_json_dict({"convention": "egf", "order": 2, "coeffs": [0, 1, 0.1]})
+        with pytest.raises(ValueError, match="bad series coefficient"):
+            from_json_dict({"convention": "egf", "order": 2, "coeffs": [0, True, 1]})
+
+    def test_integer_and_string_coefficients_load(self):
+        loaded = from_json_dict({"convention": "egf", "order": 2, "coeffs": [0, 1, "-1/2"]})
+        assert loaded == EgfSeries([0, 1, Fraction(-1, 2)])
 
 
 class TestRendering:

@@ -1,5 +1,6 @@
 """Behaviour of the identity-verification suites and their reports."""
 
+import dataclasses
 import json
 
 import pytest
@@ -23,7 +24,7 @@ from opseries import (
     verify_product_identities,
     verify_stirling_power,
 )
-from opseries.verify import SUITES
+from opseries.verify import SUITES, _report, _trial_seed
 
 
 class TestRandomGenerators:
@@ -50,6 +51,9 @@ class TestRandomGenerators:
     def test_op_list_deterministic(self):
         spec = RandomSpec(seed=5)
         assert random_op_list(spec, 4) == random_op_list(spec, 4)
+
+    def test_spec_has_only_the_knobs_the_generators_read(self):
+        assert [f.name for f in dataclasses.fields(RandomSpec)] == ["seed", "n", "max_degree"]
 
     def test_invertible_series_shape(self):
         for seed in range(10):
@@ -104,6 +108,28 @@ class TestSuites:
         assert report.passed
         assert "summands=5" in report.description
 
+    def test_partition_expansion_refuses_m13_before_any_product(self, monkeypatch):
+        def refuse(x, y):
+            raise AssertionError("a diamond ran before the size cap was checked")
+
+        monkeypatch.setattr(DiffOp, "diamond", refuse)
+        ops = random_op_list(RandomSpec(seed=1), 13)
+        with pytest.raises(ValueError, match="m <= 12"):
+            verify_partition_expansion(ops)
+
+    def test_partition_expansion_multiplies_no_unit(self, monkeypatch):
+        # singleton rows of the subset table are the operators themselves
+        unit = unit_op(2)
+        for name in ("diamond", "circ", "bullet"):
+            original = getattr(DiffOp, name)
+
+            def guarded(x, y, original=original):
+                assert unit not in (x, y)
+                return original(x, y)
+
+            monkeypatch.setattr(DiffOp, name, guarded)
+        assert verify_partition_expansion(random_op_list(RandomSpec(seed=9), 4)).passed
+
     def test_partition_expansion_rejects_higher_order(self):
         bad = DiffOp(2, {(1, 1): MultiPoly.const(2, 1)})
         with pytest.raises(ValueError):
@@ -148,6 +174,20 @@ class TestReports:
         for r in reports:
             assert r.passed == (r.left == r.right)
 
+    def test_verdict_is_structural_not_rendered(self):
+        # both series render as "x", but the padded one is valid to a higher order
+        short, padded = EgfSeries([0, 1]), EgfSeries([0, 1, 0, 0])
+        report = _report("t", "", short, padded, 0.0)
+        assert report.left == report.right == "x"
+        assert report.passed is False
+
+    def test_labelled_sides_render_one_line_per_label(self):
+        left = [("a", EgfSeries([0, 1])), ("b", unit_op(1))]
+        right = [("a", EgfSeries([0, 1, 0])), ("b", unit_op(1))]
+        assert _report("t", "", left, right, 0.0).left == "a: x\nb: 1"
+        assert _report("t", "", left, right, 0.0).passed is False
+        assert _report("t", "", left, list(left), 0.0).passed is True
+
     def test_reports_reproducible(self):
         first = [r.as_dict() for r in verify_product_identities(RandomSpec(seed=13), 5)]
         second = [r.as_dict() for r in verify_product_identities(RandomSpec(seed=13), 5)]
@@ -171,6 +211,15 @@ class TestRunSuite:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("nonsense")
+
+    def test_report_description_regenerates_the_instance(self):
+        reports = run_suite("compos", seed=4, trials=2, n=1, degree=3)
+        assert reports[1].description == "seed=4 trial=1 n=1 degree<=3 m=3 summands=5"
+        ops = random_op_list(RandomSpec(seed=_trial_seed(4, 1), n=1, max_degree=3), 3)
+        again = verify_partition_expansion(ops, "seed=4 trial=1 n=1 degree<=3")
+        assert again.as_dict() == reports[1].as_dict()
+        (inversion,) = run_suite("inversion", seed=4, n=1, degree=3)
+        assert inversion.description.startswith("seed=4 trial=0 order=8 ")
 
     def test_summand_counts_match_bell_numbers(self):
         for m, bell in [(1, 1), (2, 2), (3, 5), (4, 15)]:
