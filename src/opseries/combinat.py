@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .diffop import DiffOp, _check_op_list, _diamond_powers, subset_operator, unit_op
+from .diffop import DiffOp, _block, _check_op_list, _diamond_powers, unit_op
 from .multipoly import _join_signed
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
@@ -206,7 +206,7 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     n = op.n
     if m == 0:
         return unit_op(n)
-    generators = [p.circ(op) for p in _diamond_powers(op, m - 1)]  # [i-1]: op^{i-1} o op
+    generators = [op] + [p.circ(op) for p in _diamond_powers(op, m - 1)[1:]]  # op^{i-1} o op
     total = DiffOp.zero(n)
     for part, count in bell_polynomial(m).terms.items():
         factors = [g for g, mult in zip(generators, part.multiplicities) for _ in range(mult)]
@@ -226,7 +226,7 @@ def partition_operator(
     """
     _check_op_list(ops)
     part = SetPartition(len(ops), tuple(getattr(partition, "blocks", partition)))
-    return reduce(DiffOp.bullet, (subset_operator(ops, block) for block in part.blocks))
+    return reduce(DiffOp.bullet, (_block(ops, block, {}) for block in part.blocks))
 
 
 def stirling2(m: int, k: int) -> int:

@@ -247,49 +247,59 @@ def _check_op_list(ops: Sequence[DiffOp]) -> int:
     return n
 
 
-def _check_subset(indices: Iterable[int], m: int) -> list[int]:
-    picked = sorted(set(indices))
+def _check_subset(indices: Iterable[int], m: int) -> tuple[int, ...]:
+    picked = tuple(sorted(set(indices)))
     if not picked:
         raise ValueError("index subset must be non-empty")
     if picked[0] < 1 or picked[-1] > m:
-        raise ValueError(f"indices must lie in 1..{m}, got {picked}")
+        raise ValueError(f"indices must lie in 1..{m}, got {list(picked)}")
     return picked
+
+
+def _chain(ops: Sequence[DiffOp], picked: tuple[int, ...], memo: dict) -> DiffOp:
+    # L_max <> ... <> L_min over a sorted 1-based index tuple, peeling the minimum:
+    # _chain(picked[1:]) <> L_min; memo keeps each chain, so shared tails compose once
+    if picked not in memo:
+        head = ops[picked[0] - 1]
+        memo[picked] = head if len(picked) == 1 else _chain(ops, picked[1:], memo).diamond(head)
+    return memo[picked]
+
+
+def _block(ops: Sequence[DiffOp], picked: tuple[int, ...], memo: dict) -> DiffOp:
+    # (L_max <> ... <> L_{i_2}) o L_{i_1}; a singleton is the operator itself
+    head = ops[picked[0] - 1]
+    return head if len(picked) == 1 else _chain(ops, picked[1:], memo).circ(head)
 
 
 def diamond_chain(ops: Sequence[DiffOp], indices: Iterable[int]) -> DiffOp:
     """Compose the selected operators, largest index leftmost.
 
     For indices ``i_1 < ... < i_s`` this is ``L_{i_s} <> ... <> L_{i_1}``;
-    a singleton just returns that operator.  Indices are 1-based.
+    a singleton just returns that operator.  Indices are 1-based.  One
+    memoised recursion builds every chain in the package, and only when read.
     """
     _check_op_list(ops)
-    picked = _check_subset(indices, len(ops))
-    out = ops[picked[-1] - 1]
-    for i in reversed(picked[:-1]):
-        out = out.diamond(ops[i - 1])
-    return out
+    return _chain(ops, _check_subset(indices, len(ops)), {})
 
 
 def subset_operator(ops: Sequence[DiffOp], indices: Iterable[int]) -> DiffOp:
     """Chain the non-minimal selected operators, then circ onto the minimal one.
 
     For indices ``i_1 < ... < i_s``: ``(L_{i_s} <> ... <> L_{i_2}) o L_{i_1}``.
-    A singleton reduces to the operator itself (empty chain = unit, and the
-    unit is a left identity for circ).
+    A singleton is the operator itself and costs no product (empty chain =
+    unit, a left identity for circ); the chain comes from :func:`diamond_chain`'s
+    memoised recursion.
     """
-    n = _check_op_list(ops)
-    picked = _check_subset(indices, len(ops))
-    head, rest = picked[0], picked[1:]
-    chain = diamond_chain(ops, rest) if rest else unit_op(n)
-    return chain.circ(ops[head - 1])
+    _check_op_list(ops)
+    return _block(ops, _check_subset(indices, len(ops)), {})
 
 
 def _diamond_powers(op: DiffOp, m: int) -> list[DiffOp]:
     """``[unit, op, op <> op, ...]`` up to the m-th composition power."""
     if m < 0:
         raise ValueError(f"power must be non-negative, got {m}")
-    powers = [unit_op(op.n)]
-    for _ in range(m):
+    powers = [unit_op(op.n), op][: m + 1]  # unit <> op is op: no product
+    for _ in range(m - 1):
         powers.append(powers[-1].diamond(op))
     return powers
 

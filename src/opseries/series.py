@@ -36,14 +36,15 @@ from .multipoly import Scalar, _join_signed
 T = TypeVar("T")
 
 
-def _exp_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], zero: T, one: T) -> list[T]:
+def _exp_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], one: T) -> list[T]:
     # exponential of a z-series with exponential coefficients, over any ring
-    # given by its product, zero and one: g' = f'g, so
-    # g_{m+1} = sum_k C(m,k) f_{k+1} g_{m-k}; coeffs[0] must be zero
+    # given by its product and one: g' = f'g, so
+    # g_{m+1} = sum_k C(m,k) f_{k+1} g_{m-k}, whose k = m term is f_{m+1}
+    # (g_0 = one) and starts the sum; coeffs[0] must be zero
     out = [one]
     for m in range(len(coeffs) - 1):
-        term = zero
-        for k in range(m + 1):
+        term = coeffs[m + 1]
+        for k in range(m):
             term = term + math.comb(m, k) * mul(coeffs[k + 1], out[m - k])
         out.append(term)
     return out
@@ -189,7 +190,7 @@ class EgfSeries:
         """Exponential; requires zero constant term."""
         if self._coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        return EgfSeries(_exp_recurrence(self._coeffs, operator.mul, Fraction(0), Fraction(1)))
+        return EgfSeries(_exp_recurrence(self._coeffs, operator.mul, Fraction(1)))
 
     def ln(self) -> EgfSeries:
         """Logarithm; requires constant term one."""

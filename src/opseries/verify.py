@@ -15,11 +15,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .combinat import bell_eval_bullet, set_partitions, stirling2
-from .diffop import DiffOp, _check_op_list, _diamond_powers, power_diamond, unit_op
+from .diffop import DiffOp, _block, _chain, _check_op_list, _diamond_powers, power_diamond, unit_op
 from .multipoly import MultiIndex, MultiPoly
 from .series import (
     EgfSeries,
@@ -111,7 +111,11 @@ def _trials(
 
 
 def _indices_up_to(n: int, bound: int) -> list[MultiIndex]:
-    return [t for t in product(range(bound + 1), repeat=n) if sum(t) <= bound]
+    # the n-tuples with sum <= bound in the order of product(range(bound + 1), repeat=n),
+    # which rng.sample reads, without enumerating that product's (bound + 1)^n tuples
+    if n == 0:
+        return [()]
+    return [(e, *rest) for e in range(bound + 1) for rest in _indices_up_to(n - 1, bound - e)]
 
 
 def _poly_from_rng(rng: random.Random, spec: RandomSpec) -> MultiPoly:
@@ -230,34 +234,25 @@ def verify_partition_expansion(ops: Sequence[DiffOp], description: str = "") -> 
 
     The left side is ``L_m <> ... <> L_1``; the right side sums, over every
     partition of ``{1..m}``, the bullet product of per-block operators
-    ``(chain of non-minimal elements) o (minimal element)``.  Chains and
-    block operators are assembled once per subset in one table (they
-    depend only on the subset), which keeps the sum near-linear in the
-    partition count.  The left side is the table's chain for the full set:
-    the same fold, so it costs no further composition.
+    ``(chain of non-minimal elements) o (minimal element)``.  Block operators
+    are assembled once per subset, which keeps the sum near-linear in the
+    partition count; their chains come from the memoised recursion behind
+    ``diamond_chain``, built only when read, and a singleton costs no product.
+    The left side is the memo's full-set chain: one more composition.
     """
     started = time.perf_counter()
     ops = list(ops)
     n = _check_op_list(ops)
     m = len(ops)
-    partitions = set_partitions(m)  # enforces the size cap before the 2^m table
+    partitions = set_partitions(m)  # enforces the size cap before the 2^m blocks
 
-    # chains[S] = L_{max S} <> ... <> L_{min S}; peel the minimum each step.
-    # A singleton's chain and block operator are the operator itself.
-    chains: dict[frozenset, DiffOp] = {frozenset([k]): op for k, op in enumerate(ops, start=1)}
-    block_ops = dict(chains)
-    for size in range(2, m + 1):
-        for subset in combinations(range(1, m + 1), size):
-            key = frozenset(subset)
-            head = subset[0]  # combinations are sorted, so this is min
-            rest = key - {head}
-            chains[key] = chains[rest].diamond(ops[head - 1])
-            block_ops[key] = chains[rest].circ(ops[head - 1])
-
+    chains: dict[tuple[int, ...], DiffOp] = {}
+    subsets = (s for size in range(1, m + 1) for s in combinations(range(1, m + 1), size))
+    block_ops = {subset: _block(ops, subset, chains) for subset in subsets}
     rhs = DiffOp.zero(n)
-    for part in partitions:
-        rhs = rhs + reduce(DiffOp.bullet, (block_ops[frozenset(b)] for b in part.blocks))
-    lhs = chains[frozenset(range(1, m + 1))]
+    for part in partitions:  # blocks are sorted tuples, the keys of block_ops
+        rhs = rhs + reduce(DiffOp.bullet, (block_ops[b] for b in part.blocks))
+    lhs = _chain(ops, tuple(range(1, m + 1)), chains)
 
     desc = f"{description} m={m} summands={len(partitions)}".strip()
     return _report("compos", desc, lhs, rhs, started)
@@ -288,9 +283,9 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
         raise ValueError("z-order must be non-negative")
     zero = DiffOp.zero(op.n)
     powers = _diamond_powers(op, z_order)
-    inner = [zero] + [p.circ(op) for p in powers[:-1]]
+    inner = [zero, op, *(p.circ(op) for p in powers[1:-1])][: z_order + 1]  # unit o op = op
     # exp and ln of operator-valued z-series under the bullet product
-    exp_side = _exp_recurrence(inner, DiffOp.bullet, zero, unit_op(op.n))
+    exp_side = _exp_recurrence(inner, DiffOp.bullet, unit_op(op.n))
     ln_side = _ln_recurrence(powers, DiffOp.bullet, zero)
 
     z = range(z_order + 1)

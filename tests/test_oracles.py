@@ -1,0 +1,82 @@
+"""Reversion and operator action checked against sympy, outside the package.
+
+``rs_series_reversion`` is the oracle for the inverse methods and
+``sympy.diff`` the oracle for :meth:`DiffOp.apply`.  The module is skipped
+when sympy is not installed; it is declared in the ``test`` extra.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from sympy.polys.domains import QQ  # noqa: E402
+from sympy.polys.ring_series import rs_series_reversion  # noqa: E402
+from sympy.polys.rings import ring  # noqa: E402
+
+from opseries import (  # noqa: E402
+    EgfSeries,
+    MultiPoly,
+    RandomSpec,
+    log_form_inverse,
+    newton_inverse,
+    random_diffop,
+    random_invertible_series,
+)
+
+
+def sympy_inverse(f, order):
+    """The egf coefficients of the reversion of f, computed by sympy over QQ."""
+    R, x, y = ring("x, y", QQ)
+    p = R.zero
+    for m, c in enumerate(f.coeffs[: order + 1]):
+        p += QQ(c.numerator, c.denominator * math.factorial(m)) * x**m
+    g = rs_series_reversion(p, x, order + 1, y)
+    coeffs = [0]
+    for m in range(1, order + 1):
+        c = g.coeff(y**m)
+        coeffs.append(Fraction(c.numerator, c.denominator) * math.factorial(m))
+    return EgfSeries(coeffs)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reversion_matches_sympy(seed):
+    order = 8
+    f = random_invertible_series(RandomSpec(seed=seed), order + 1)
+    expected = sympy_inverse(f, order)
+    assert log_form_inverse(f, order) == expected
+    assert newton_inverse(f, order) == expected
+
+
+def to_sympy(p, xs):
+    expr = sympy.Integer(0)
+    for alpha, c in p.items():
+        expr += sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+            *(x**e for x, e in zip(xs, alpha))
+        )
+    return expr
+
+
+def seeded_poly(rng, n, degree):
+    monomials = [a for a in product(range(degree + 1), repeat=n) if sum(a) <= degree]
+    chosen = rng.sample(monomials, min(4, len(monomials)))
+    return MultiPoly(n, {a: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for a in chosen})
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_matches_sympy_diff(seed, n):
+    op = random_diffop(RandomSpec(seed=seed, n=n), max_order=3)
+    p = seeded_poly(random.Random(seed), n, 4)
+    xs = sympy.symbols(f"x1:{n + 1}")
+    expected = sympy.Integer(0)
+    for beta, u in op.items():
+        dp = to_sympy(p, xs)
+        for x, e in zip(xs, beta):
+            dp = sympy.diff(dp, x, e)
+        expected += to_sympy(u, xs) * dp
+    assert sympy.expand(to_sympy(op.apply(p), xs) - expected) == 0

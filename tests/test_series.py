@@ -45,12 +45,19 @@ def catalan(k):
     return math.comb(2 * k, k) // (k + 1)
 
 
+# b_{2k+1} of tan x for k = 0..6, enough for an order-12 inverse
+TANGENT_NUMBERS = (1, 2, 16, 272, 7936, 353792, 22368256)
+
 # closed-form inverse pairs, as egf coefficient formulas for m >= 1
 CLOSED_FORM_PAIRS = {
     "expm1-log1p": (lambda m: 1, lambda m: (-1) ** (m - 1) * math.factorial(m - 1)),
     "sin-arcsin": (
         lambda m: (-1) ** (m // 2) if m % 2 else 0,
         lambda m: double_factorial(m - 2) ** 2 if m % 2 else 0,
+    ),
+    "tan-arctan": (
+        lambda m: TANGENT_NUMBERS[m // 2] if m % 2 else 0,
+        lambda m: (-1) ** (m // 2) * math.factorial(m - 1) if m % 2 else 0,
     ),
     "x-x^2-catalan": (
         lambda m: {1: 1, 2: -2}.get(m, 0),

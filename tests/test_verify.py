@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -10,6 +12,8 @@ from opseries import (
     EgfSeries,
     MultiPoly,
     RandomSpec,
+    bell_eval_bullet,
+    power_diamond,
     random_invertible_series,
     random_op_list,
     random_vector_field,
@@ -24,7 +28,21 @@ from opseries import (
     verify_product_identities,
     verify_stirling_power,
 )
-from opseries.verify import SUITES, _report, _trial_seed
+from opseries.verify import SUITES, _indices_up_to, _report, _trial_seed
+
+
+def forbid_unit_operands(monkeypatch, n):
+    # the unit is an identity for diamond and bullet and a left identity for
+    # circ, so a product that takes it as an operand is wasted work
+    unit = unit_op(n)
+    for name in ("diamond", "circ", "bullet"):
+        original = getattr(DiffOp, name)
+
+        def guarded(x, y, original=original):
+            assert unit not in (x, y)
+            return original(x, y)
+
+        monkeypatch.setattr(DiffOp, name, guarded)
 
 
 class TestRandomGenerators:
@@ -51,6 +69,17 @@ class TestRandomGenerators:
     def test_op_list_deterministic(self):
         spec = RandomSpec(seed=5)
         assert random_op_list(spec, 4) == random_op_list(spec, 4)
+
+    def test_indices_up_to_is_the_filtered_product_in_order(self):
+        # rng.sample reads the list by position, so its order is part of the contract
+        for n in range(1, 6):
+            for bound in range(5):
+                expected = [t for t in product(range(bound + 1), repeat=n) if sum(t) <= bound]
+                assert _indices_up_to(n, bound) == expected
+
+    def test_indices_up_to_does_not_enumerate_the_full_product(self):
+        # filtering product(range(3), repeat=20) would visit 3^20 tuples
+        assert len(_indices_up_to(20, 2)) == 231
 
     def test_spec_has_only_the_knobs_the_generators_read(self):
         assert [f.name for f in dataclasses.fields(RandomSpec)] == ["seed", "n", "max_degree"]
@@ -118,17 +147,41 @@ class TestSuites:
             verify_partition_expansion(ops)
 
     def test_partition_expansion_multiplies_no_unit(self, monkeypatch):
-        # singleton rows of the subset table are the operators themselves
-        unit = unit_op(2)
-        for name in ("diamond", "circ", "bullet"):
+        # singleton blocks are the operators themselves
+        forbid_unit_operands(monkeypatch, 2)
+        assert verify_partition_expansion(random_op_list(RandomSpec(seed=9), 4)).passed
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda op: bell_eval_bullet(5, op) == power_diamond(op, 5),
+            lambda op: verify_exp_identity(op, 4).passed,
+            lambda op: power_diamond(op, 3) == op.diamond(op).diamond(op),
+        ],
+        ids=["bell_eval_bullet", "exp_identity", "power_diamond"],
+    )
+    def test_no_product_takes_a_unit_operand(self, monkeypatch, check):
+        op = random_vector_field(RandomSpec(seed=9))
+        forbid_unit_operands(monkeypatch, 2)
+        assert check(op)
+
+    @pytest.mark.parametrize("m, diamonds, circs", [(5, 12, 26), (6, 27, 57)])
+    def test_partition_expansion_composes_only_the_chains_it_reads(
+        self, monkeypatch, m, diamonds, circs
+    ):
+        # 2^(m-1) - m chains of two or more indices without 1, then the full
+        # chain; one circ per block of two or more indices, 2^m - m - 1
+        calls = Counter()
+        for name in ("diamond", "circ"):
             original = getattr(DiffOp, name)
 
-            def guarded(x, y, original=original):
-                assert unit not in (x, y)
+            def counted(x, y, name=name, original=original):
+                calls[name] += 1
                 return original(x, y)
 
-            monkeypatch.setattr(DiffOp, name, guarded)
-        assert verify_partition_expansion(random_op_list(RandomSpec(seed=9), 4)).passed
+            monkeypatch.setattr(DiffOp, name, counted)
+        assert verify_partition_expansion(random_op_list(RandomSpec(seed=9), m)).passed
+        assert calls == {"diamond": diamonds, "circ": circs}
 
     def test_partition_expansion_rejects_higher_order(self):
         bad = DiffOp(2, {(1, 1): MultiPoly.const(2, 1)})
