@@ -3,7 +3,11 @@
 The digests pin byte-identical output across refactors of the algebra.
 They were recorded from the code before the operator products, the
 exp/ln recurrences and the iterate loops were each reduced to one
-definition; a change that alters any rendered byte fails here.
+definition; a change that alters any rendered byte fails here.  The
+``compos --m 6`` and ``prop1 --degree 3`` cases pin the large-operand
+path (hundreds of fractional coefficients); they were recorded from the
+code before ``MultiPoly`` moved to integer numerators over one shared
+denominator.
 """
 
 import hashlib
@@ -31,6 +35,11 @@ GOLDEN = [
      "0c00d653242f3ed8782c9133ac47d045a8f3632e27a232f876b4cdc3a761af22"),
     (["verify", "compos", "--m", "5"] + VERIFY,
      "9b7f6b588c938f50bd08ff286a0b3fbe5c781c0311308cca30965ecf13f8050f"),
+    (["verify", "compos", "--m", "6", "--seed", "1", "--format", "json"],
+     "11b312a8c054900fe261a6874422c5b9cbe4fb7a675bb701082eda86c6f11b83"),
+    (["verify", "prop1", "--trials", "3", "--n", "3", "--degree", "3", "--seed", "7",
+      "--format", "json"],
+     "9bf36ca2c01ed35c3f83b74a8d4867161816d21053b68ffb3d38359ed58496e4"),
     (["verify", "bellpower"] + VERIFY,
      "a5a2feee9d449d7f94c84ef968bd364091abf7e88c2ecc202ee7d98200d80e00"),
     (["verify", "expid"] + VERIFY,
