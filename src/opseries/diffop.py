@@ -31,6 +31,7 @@ from .multipoly import (
     MultiIndex,
     MultiPoly,
     Scalar,
+    _check_index,
     _join_signed,
     _monomial_str,
     index_binomial,
@@ -63,9 +64,7 @@ class DiffOp:
             raise ValueError(f"variable count must be positive, got {n}")
         clean: dict[MultiIndex, MultiPoly] = {}
         for beta, u in (terms or {}).items():
-            beta = tuple(beta)
-            if len(beta) != n or any(e < 0 or not isinstance(e, int) for e in beta):
-                raise ValueError(f"bad derivative multi-index {beta} for {n} variables")
+            beta = _check_index(beta, n, "derivative multi-index")
             if not isinstance(u, MultiPoly):
                 u = MultiPoly.const(n, u)
             elif u.n != n:

@@ -1,19 +1,26 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, stored fraction-free.
 
 A polynomial in ``n`` variables is a finite map from exponent vectors
-(length-``n`` tuples of non-negative ints) to nonzero ``Fraction``
-coefficients.  Instances are immutable and always canonical -- zero
-coefficients are dropped on construction -- so ``==`` is decisive
-structural equality and nothing ever needs re-normalising.
+(length-``n`` tuples of non-negative ints) to nonzero rational
+coefficients.  The storage is fraction-free: one positive integer
+denominator shared by the whole polynomial and a nonzero integer
+numerator per exponent vector, with ``gcd(den, *nums) == 1``.  That form
+is canonical, so ``==`` and ``hash`` are structural, and ring operations
+run on plain ints (the idea behind Bareiss's fraction-free elimination,
+Math. Comp. 1968): each result is reduced once, by one gcd, instead of
+once per coefficient operation.
 
-The coefficient field is the rationals: ``fractions.Fraction`` keeps
-every value reduced with a positive denominator, which makes all the
-identity checks elsewhere in the package plain equality tests.
+Rationals appear only at the boundary.  The public constructor takes
+ints, ``Fraction``s and ``"p/q"`` strings; ``items()``, ``coefficient()``
+and ``constant_term()`` hand back reduced ``fractions.Fraction`` values,
+which makes all the identity checks elsewhere in the package plain
+equality tests.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping
@@ -23,7 +30,7 @@ Scalar = Fraction | int
 
 
 def index_add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(a + b for a, b in zip(alpha, beta))
+    return tuple(map(operator.add, alpha, beta))
 
 
 def index_binomial(alpha: MultiIndex, gamma: MultiIndex) -> int:
@@ -37,6 +44,10 @@ def index_binomial(alpha: MultiIndex, gamma: MultiIndex) -> int:
 def sub_indices(alpha: MultiIndex) -> Iterator[MultiIndex]:
     """All gamma with 0 <= gamma_i <= alpha_i componentwise."""
     return product(*(range(a + 1) for a in alpha))
+
+
+def _scaled(nums: Mapping[MultiIndex, int], k: int) -> dict[MultiIndex, int]:
+    return dict(nums) if k == 1 else {a: c * k for a, c in nums.items()}
 
 
 def _join_signed(parts: Iterable[tuple[bool, str]]) -> str:
@@ -60,36 +71,77 @@ def _monomial_str(alpha: MultiIndex) -> str:
     return "*".join(factors)
 
 
-class MultiPoly:
-    """Immutable sparse polynomial with ``Fraction`` coefficients.
+def _scalar(c: object) -> Fraction:
+    # the coefficient contract at the public boundary: a float is already
+    # inexact and a bool is not a number, so neither is read as a rational
+    if isinstance(c, (int, Fraction, str)) and not isinstance(c, bool):
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f'bad coefficient {c!r}: need an int, Fraction or "p/q" string')
 
-    The variable count ``n`` is fixed per instance and checked on every
-    binary operation; there is no implicit promotion between rings.
+
+def _check_index(alpha: Iterable[int], n: int, what: str) -> MultiIndex:
+    """``alpha`` as a tuple of ``n`` non-negative ints (no bools), else ValueError."""
+    alpha = tuple(alpha)
+    if len(alpha) != n or any(
+        not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in alpha
+    ):
+        raise ValueError(f"bad {what} {alpha} for {n} variables")
+    return alpha
+
+
+class MultiPoly:
+    """Immutable sparse polynomial with rational coefficients.
+
+    Stored as integer numerators ``_nums`` over one shared positive
+    denominator ``_den``, reduced so that ``gcd(_den, *_nums) == 1``; no
+    ``Fraction`` is held.  The variable count ``n`` is fixed per instance
+    and checked on every binary operation; there is no implicit promotion
+    between rings.
     """
 
-    __slots__ = ("_n", "_terms", "_hash")
+    __slots__ = ("_n", "_nums", "_den", "_hash")
 
-    def __init__(self, n: int, terms: Mapping[MultiIndex, Scalar] | None = None):
+    def __init__(self, n: int, terms: Mapping[MultiIndex, Scalar | str] | None = None):
         if n < 1:
             raise ValueError(f"variable count must be positive, got {n}")
-        clean: dict[MultiIndex, Fraction] = {}
+        coeffs: dict[MultiIndex, Fraction] = {}
         for alpha, c in (terms or {}).items():
-            alpha = tuple(alpha)
-            if len(alpha) != n or any(e < 0 or not isinstance(e, int) for e in alpha):
-                raise ValueError(f"bad exponent vector {alpha} for {n} variables")
-            c = Fraction(c)
+            alpha = _check_index(alpha, n, "exponent vector")
+            c = _scalar(c)
             if c:
-                clean[alpha] = c
+                coeffs[alpha] = c
+        # the lcm of reduced denominators leaves gcd(den, *nums) == 1 already
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
         self._n = n
-        self._terms = clean
+        self._nums = {a: c.numerator * (den // c.denominator) for a, c in coeffs.items()}
+        self._den = den
         self._hash: int | None = None
+
+    @classmethod
+    def _reduced(cls, n: int, nums: dict[MultiIndex, int], den: int) -> MultiPoly:
+        # the one normalisation of every computed result: drop zero numerators,
+        # divide out the common gcd, and skip the public constructor's checks
+        nums = {a: c for a, c in nums.items() if c}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {a: c // g for a, c in nums.items()}
+            den //= g
+        out = object.__new__(cls)
+        out._n = n
+        out._nums = nums
+        out._den = den
+        out._hash = None
+        return out
 
     @classmethod
     def zero(cls, n: int) -> MultiPoly:
         return cls(n)
 
     @classmethod
-    def const(cls, n: int, value: Scalar) -> MultiPoly:
+    def const(cls, n: int, value: Scalar | str) -> MultiPoly:
         return cls(n, {(0,) * n: value})
 
     @classmethod
@@ -106,21 +158,26 @@ class MultiPoly:
 
     def items(self) -> list[tuple[MultiIndex, Fraction]]:
         """Terms in descending graded-lexicographic order (canonical)."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        den = self._den
+        return sorted(
+            ((a, Fraction(c, den)) for a, c in self._nums.items()),
+            key=lambda kv: (sum(kv[0]), kv[0]),
+            reverse=True,
+        )
 
     def coefficient(self, alpha: MultiIndex) -> Fraction:
-        return self._terms.get(tuple(alpha), Fraction(0))
+        return Fraction(self._nums.get(tuple(alpha), 0), self._den)
 
     def constant_term(self) -> Fraction:
         """The value at the origin, i.e. the coefficient of x^0."""
-        return self._terms.get((0,) * self._n, Fraction(0))
+        return self.coefficient((0,) * self._n)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def total_degree(self) -> int:
         """Maximum total degree of any term; -1 for the zero polynomial."""
-        return max((sum(a) for a in self._terms), default=-1)
+        return max((sum(a) for a in self._nums), default=-1)
 
     def _check_same_ring(self, other: MultiPoly) -> None:
         if self._n != other._n:
@@ -130,10 +187,12 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_ring(other)
-        out = dict(self._terms)
-        for alpha, c in other._terms.items():
-            out[alpha] = out.get(alpha, Fraction(0)) + c
-        return MultiPoly(self._n, out)
+        den = math.lcm(self._den, other._den)
+        out = _scaled(self._nums, den // self._den)
+        k = den // other._den
+        for alpha, c in other._nums.items():
+            out[alpha] = out.get(alpha, 0) + c * k
+        return MultiPoly._reduced(self._n, out, den)
 
     def __sub__(self, other: MultiPoly) -> MultiPoly:
         if not isinstance(other, MultiPoly):
@@ -141,20 +200,22 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self._n, {a: -c for a, c in self._terms.items()})
+        return MultiPoly._reduced(self._n, _scaled(self._nums, -1), self._den)
 
     def __mul__(self, other: MultiPoly | Scalar) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self._n, {a: c * other for a, c in self._terms.items()})
+            return MultiPoly._reduced(
+                self._n, _scaled(self._nums, other.numerator), self._den * other.denominator
+            )
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_ring(other)
-        out: dict[MultiIndex, Fraction] = {}
-        for alpha, c in self._terms.items():
-            for beta, d in other._terms.items():
+        out: dict[MultiIndex, int] = {}
+        for alpha, c in self._nums.items():
+            for beta, d in other._nums.items():
                 key = index_add(alpha, beta)
-                out[key] = out.get(key, Fraction(0)) + c * d
-        return MultiPoly(self._n, out)
+                out[key] = out.get(key, 0) + c * d
+        return MultiPoly._reduced(self._n, out, self._den * other._den)
 
     def __rmul__(self, other: Scalar) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
@@ -172,23 +233,22 @@ class MultiPoly:
             raise ValueError(f"bad derivative multi-index {alpha} for {self._n} variables")
         if not any(alpha):
             return self  # immutable, so d^0 can hand back the instance itself
-        out: dict[MultiIndex, Fraction] = {}
-        for gamma, c in self._terms.items():
+        out: dict[MultiIndex, int] = {}
+        for gamma, c in self._nums.items():
             if all(g >= a for g, a in zip(gamma, alpha)):
-                k = 1
                 for g, a in zip(gamma, alpha):
-                    k *= math.perm(g, a)
-                out[tuple(g - a for g, a in zip(gamma, alpha))] = c * k
-        return MultiPoly(self._n, out)
+                    c *= math.perm(g, a)
+                out[tuple(g - a for g, a in zip(gamma, alpha))] = c
+        return MultiPoly._reduced(self._n, out, self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self._n == other._n and self._terms == other._terms
+        return self._n == other._n and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._n, frozenset(self._terms.items())))
+            self._hash = hash((self._n, self._den, frozenset(self._nums.items())))
         return self._hash
 
     def __str__(self) -> str:

@@ -106,6 +106,16 @@ class TestProducts:
         with pytest.raises(ValueError):
             xd().apply(MultiPoly.variable(2, 0))
 
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_refuses_float_and_bool_coefficients(self, bad):
+        with pytest.raises(ValueError, match=r'an int, Fraction or "p/q" string'):
+            DiffOp(1, {(1,): bad})
+
+    @pytest.mark.parametrize("beta", [(True,), (1.0,), (-1,)])
+    def test_refuses_bad_derivative_indices(self, beta):
+        with pytest.raises(ValueError, match="bad derivative multi-index"):
+            DiffOp(1, {beta: 1})
+
     def test_zero_is_first_order(self):
         assert DiffOp.zero(2).is_first_order()
         assert DiffOp.zero(2).orders() == frozenset()

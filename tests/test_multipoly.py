@@ -1,5 +1,6 @@
 """Ring arithmetic and partial derivatives of sparse rational polynomials."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,14 +29,26 @@ def polys(n=2, max_degree=3, max_terms=4):
     )
 
 
-def convolve_oracle(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Independent term-by-term product: every exponent pair added by hand."""
+def reduced_fractions(p: MultiPoly) -> bool:
+    """Every coefficient is a ``Fraction`` in lowest terms, positive denominator."""
+    return all(
+        type(c) is Fraction and c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+        for _, c in p.items()
+    )
+
+
+def convolve_terms(p: MultiPoly, q: MultiPoly) -> dict:
+    """Independent term-by-term product in ``Fraction``s: every exponent pair added by hand."""
     out: dict = {}
     for a, c in p.items():
         for b, d in q.items():
             key = tuple(x + y for x, y in zip(a, b))
             out[key] = out.get(key, Fraction(0)) + c * d
-    return MultiPoly(p.n, out)
+    return {a: c for a, c in out.items() if c}
+
+
+def convolve_oracle(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    return MultiPoly(p.n, convolve_terms(p, q))
 
 
 class TestExamples:
@@ -104,6 +117,28 @@ class TestExamples:
         ((_, coeff),) = p.items()
         assert (coeff.numerator, coeff.denominator) == (1, 2)
 
+    def test_string_coefficients(self):
+        p = MultiPoly(1, {(0,): "-3/6", (1,): "2"})
+        assert p == MultiPoly(1, {(0,): Fraction(-1, 2), (1,): 2})
+        assert p.coefficient((0,)) == Fraction(-1, 2)
+
+
+class TestBoundary:
+    """Only ints, Fractions and "p/q" strings are read as coefficients."""
+
+    # a float 0.1 would be stored as 3602879701896397/36028797018963968, a True as 1
+    @pytest.mark.parametrize("bad", [0.1, 0.5, True, False, None, "x/2", "1/0", 1j])
+    def test_refuses_non_rational_coefficients(self, bad):
+        with pytest.raises(ValueError, match=r'an int, Fraction or "p/q" string'):
+            MultiPoly(1, {(1,): bad})
+        with pytest.raises(ValueError, match=r'an int, Fraction or "p/q" string'):
+            MultiPoly.const(2, bad)
+
+    @pytest.mark.parametrize("alpha", [(True,), (1.0,), (-1,), (1, 0)])
+    def test_refuses_bad_exponents(self, alpha):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly(1, {alpha: 2})
+
 
 class TestRingProperties:
     @given(polys(), polys(), polys())
@@ -145,6 +180,40 @@ class TestRingProperties:
     @settings(max_examples=40)
     def test_partial_composes_additively(self, p):
         assert p.partial((1, 2)) == p.partial((0, 2)).partial((1, 0))
+
+    @given(polys())
+    @settings(max_examples=40)
+    def test_partial_matches_termwise_oracle(self, p):
+        alpha = (1, 2)
+        expected = {}
+        for gamma, c in p.items():
+            if gamma[0] >= 1 and gamma[1] >= 2:
+                k = math.perm(gamma[0], 1) * math.perm(gamma[1], 2)
+                expected[(gamma[0] - 1, gamma[1] - 2)] = c * k
+        assert dict(p.partial(alpha).items()) == expected
+        assert reduced_fractions(p.partial(alpha))
+
+    @given(polys(), polys())
+    @settings(max_examples=40)
+    def test_items_match_fraction_reference(self, p, q):
+        total: dict = dict(p.items())
+        for b, d in q.items():
+            total[b] = total.get(b, Fraction(0)) + d
+        assert dict((p + q).items()) == {a: c for a, c in total.items() if c}
+        assert dict((p * q).items()) == convolve_terms(p, q)
+        assert reduced_fractions(p + q) and reduced_fractions(p * q)
+
+    @given(polys(), polys())
+    @settings(max_examples=40)
+    def test_equal_values_by_different_routes_are_equal_and_hash_alike(self, p, q):
+        halved = (p * Fraction(1, 2)) * 2
+        assert halved == p and hash(halved) == hash(p)
+        round_trip = p + q - q
+        assert round_trip == p and hash(round_trip) == hash(p)
+        zero = p - p
+        assert zero.is_zero()
+        assert zero == MultiPoly.zero(p.n) and hash(zero) == hash(MultiPoly.zero(p.n))
+        assert reduced_fractions(halved) and reduced_fractions(round_trip)
 
     @given(polys())
     @settings(max_examples=40)
