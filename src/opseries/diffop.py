@@ -20,6 +20,11 @@ partition type that validates its blocks.
 
 ``diamond`` is grounded semantically by :meth:`DiffOp.apply`:
 ``(X <> Y).apply(p) == X.apply(Y.apply(p))`` for every polynomial ``p``.
+
+Input is checked once, where it enters: the public constructor checks
+every index and coefficient, each operation its operands' variable counts.
+Results are built by the private ``DiffOp._reduced``, which only drops
+zero coefficients, like ``MultiPoly._reduced``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .multipoly import (
     MultiPoly,
     Scalar,
     _check_index,
+    _check_same_n,
     _join_signed,
     _monomial_str,
     index_binomial,
@@ -67,13 +73,21 @@ class DiffOp:
             beta = _check_index(beta, n, "derivative multi-index")
             if not isinstance(u, MultiPoly):
                 u = MultiPoly.const(n, u)
-            elif u.n != n:
-                raise ValueError(f"coefficient in {u.n} variables inside operator with n={n}")
+            _check_same_n(n, u.n)
             if not u.is_zero():
                 clean[beta] = u
         self._n = n
         self._terms = clean
         self._hash: int | None = None
+
+    @classmethod
+    def _reduced(cls, n: int, terms: dict[MultiIndex, MultiPoly]) -> DiffOp:
+        # an operation result from checked operands: drop zeros, check nothing again
+        out = object.__new__(cls)
+        out._n = n
+        out._terms = {b: u for b, u in terms.items() if not u.is_zero()}
+        out._hash = None
+        return out
 
     @classmethod
     def zero(cls, n: int) -> DiffOp:
@@ -88,12 +102,8 @@ class DiffOp:
     def vector_field(cls, coeffs: Sequence[MultiPoly]) -> DiffOp:
         """First-order operator ``sum_j u_j d_j`` from its coefficient list."""
         n = len(coeffs)
-        if n < 1:
-            raise ValueError("a vector field needs at least one coefficient")
         terms: dict[MultiIndex, MultiPoly] = {}
         for j, u in enumerate(coeffs):
-            if u.n != n:
-                raise ValueError(f"coefficient in {u.n} variables for a field in {n}")
             terms[tuple(1 if i == j else 0 for i in range(n))] = u
         return cls(n, terms)
 
@@ -119,19 +129,15 @@ class DiffOp:
         """True when every stored term has |beta| = 1 (vacuously so for zero)."""
         return all(sum(b) == 1 for b in self._terms)
 
-    def _check_same_space(self, other: DiffOp) -> None:
-        if self._n != other._n:
-            raise ValueError(f"variable-count mismatch: {self._n} vs {other._n}")
-
     def __add__(self, other: DiffOp) -> DiffOp:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        self._check_same_space(other)
+        _check_same_n(self._n, other._n)
         out = dict(self._terms)
         for beta, u in other._terms.items():
             prev = out.get(beta)
             out[beta] = u if prev is None else prev + u
-        return DiffOp(self._n, out)
+        return DiffOp._reduced(self._n, out)
 
     def __sub__(self, other: DiffOp) -> DiffOp:
         if not isinstance(other, DiffOp):
@@ -139,11 +145,11 @@ class DiffOp:
         return self + (-other)
 
     def __neg__(self) -> DiffOp:
-        return DiffOp(self._n, {b: -u for b, u in self._terms.items()})
+        return DiffOp._reduced(self._n, {b: -u for b, u in self._terms.items()})
 
     def __mul__(self, scalar: Scalar) -> DiffOp:
         if isinstance(scalar, (int, Fraction)):
-            return DiffOp(self._n, {b: u * scalar for b, u in self._terms.items()})
+            return DiffOp._reduced(self._n, {b: u * scalar for b, u in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -153,7 +159,7 @@ class DiffOp:
     ) -> DiffOp:
         # sum over generator pairs of C(alpha, gamma) u d^gamma(v) d^(alpha+beta-gamma),
         # gamma running over gammas(alpha); each product is one choice of gammas
-        self._check_same_space(other)
+        _check_same_n(self._n, other._n)
         acc: dict[MultiIndex, MultiPoly] = {}
         for alpha, u in self._terms.items():
             for beta, v in other._terms.items():
@@ -168,7 +174,7 @@ class DiffOp:
                     key = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
                     prev = acc.get(key)
                     acc[key] = coeff if prev is None else prev + coeff
-        return DiffOp(self._n, acc)
+        return DiffOp._reduced(self._n, acc)
 
     def diamond(self, other: DiffOp) -> DiffOp:
         """Operator composition (associative): the full Leibniz sum over gamma <= alpha."""
@@ -185,8 +191,7 @@ class DiffOp:
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         """Act on a polynomial: ``sum_beta u_beta * d^beta(p)``."""
-        if p.n != self._n:
-            raise ValueError(f"variable-count mismatch: {self._n} vs {p.n}")
+        _check_same_n(self._n, p.n)
         out = MultiPoly.zero(self._n)
         for beta, u in self._terms.items():
             dp = p.partial(beta)

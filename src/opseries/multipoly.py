@@ -92,6 +92,11 @@ def _check_index(alpha: Iterable[int], n: int, what: str) -> MultiIndex:
     return alpha
 
 
+def _check_same_n(n: int, other: int) -> None:
+    if n != other:
+        raise ValueError(f"variable-count mismatch: {n} vs {other}")
+
+
 class MultiPoly:
     """Immutable sparse polynomial with rational coefficients.
 
@@ -179,14 +184,10 @@ class MultiPoly:
         """Maximum total degree of any term; -1 for the zero polynomial."""
         return max((sum(a) for a in self._nums), default=-1)
 
-    def _check_same_ring(self, other: MultiPoly) -> None:
-        if self._n != other._n:
-            raise ValueError(f"variable-count mismatch: {self._n} vs {other._n}")
-
     def __add__(self, other: MultiPoly) -> MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_same_ring(other)
+        _check_same_n(self._n, other._n)
         den = math.lcm(self._den, other._den)
         out = _scaled(self._nums, den // self._den)
         k = den // other._den
@@ -209,7 +210,7 @@ class MultiPoly:
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_same_ring(other)
+        _check_same_n(self._n, other._n)
         out: dict[MultiIndex, int] = {}
         for alpha, c in self._nums.items():
             for beta, d in other._nums.items():
@@ -228,9 +229,7 @@ class MultiPoly:
         A term x^gamma survives only when gamma >= alpha componentwise and
         picks up the falling-factorial factor prod_i gamma_i!/(gamma_i-alpha_i)!.
         """
-        alpha = tuple(alpha)
-        if len(alpha) != self._n or any(e < 0 for e in alpha):
-            raise ValueError(f"bad derivative multi-index {alpha} for {self._n} variables")
+        alpha = _check_index(alpha, self._n, "derivative multi-index")
         if not any(alpha):
             return self  # immutable, so d^0 can hand back the instance itself
         out: dict[MultiIndex, int] = {}

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .multipoly import Scalar, _join_signed
+from .multipoly import Scalar, _join_signed, _scalar
 
 T = TypeVar("T")
 
@@ -68,7 +68,7 @@ class EgfSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar | str]):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(map(_scalar, coeffs))
         if not coeffs:
             raise ValueError("a series carries at least its constant term")
         self._coeffs = coeffs
@@ -368,12 +368,12 @@ INVERSE_METHODS = {
 
 def ogf_to_egf(coeffs: Sequence[Scalar | str]) -> list[Fraction]:
     """Rescale ordinary coefficients c_m to exponential ones b_m = m! c_m."""
-    return [Fraction(c) * math.factorial(m) for m, c in enumerate(coeffs)]
+    return [_scalar(c) * math.factorial(m) for m, c in enumerate(coeffs)]
 
 
 def egf_to_ogf(coeffs: Sequence[Scalar | str]) -> list[Fraction]:
     """Rescale exponential coefficients b_m to ordinary ones c_m = b_m / m!."""
-    return [Fraction(c) / math.factorial(m) for m, c in enumerate(coeffs)]
+    return [_scalar(c) / math.factorial(m) for m, c in enumerate(coeffs)]
 
 
 def to_json_dict(series: EgfSeries, convention: str = "egf") -> dict:
@@ -403,12 +403,9 @@ def from_json_dict(data: dict) -> EgfSeries:
         raise ValueError(f"series order must be an integer, got {order!r}")
     if not isinstance(raw, list):
         raise ValueError(f"series coeffs must be a list, got {raw!r}")
-    for c in raw:  # a JSON float is already inexact, and a bool is not a number
-        if isinstance(c, bool) or not isinstance(c, (int, str)):
-            raise ValueError(f"bad series coefficient {c!r}: need an integer or a \"p/q\" string")
     try:
-        coeffs = [Fraction(c) for c in raw]
-    except (ValueError, ZeroDivisionError) as exc:
+        coeffs = [_scalar(c) for c in raw]
+    except ValueError as exc:
         raise ValueError(f"bad series coefficient: {exc}") from exc
     if len(coeffs) != order + 1:
         raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(coeffs)}")

@@ -89,8 +89,10 @@ def _render(side) -> str:
 
 
 def _report(theorem: str, description: str, left, right, started: float) -> VerifyReport:
+    passed = left == right  # equal sides render equal: render the right one only on failure
+    shown = _render(left)
     return VerifyReport(
-        theorem, description, _render(left), _render(right), left == right,
+        theorem, description, shown, shown if passed else _render(right), passed,
         time.perf_counter() - started,
     )
 

@@ -2,7 +2,10 @@
 
 import json
 import math
+import shlex
 from fractions import Fraction
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,23 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    # each README command whose output is printed beside it, after "#" on the
+    # same line or as the "# " lines below it: (argv, expected stdout lines)
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        command, _, inline = line.partition("#")
+        if not command.startswith("opseries "):
+            continue
+        shown = [inline.strip()] if inline else [
+            below[2:] for below in takewhile(lambda s: s.startswith("# "), lines[i + 1:])
+        ]
+        if shown:
+            examples.append((shlex.split(command)[1:], shown))
+    return examples
 
 
 class TestInvert:
@@ -191,6 +211,16 @@ class TestVerify:
         _, first, _ = run(args, capsys)
         _, second, _ = run(args, capsys)
         assert first == second
+
+
+class TestReadme:
+    def test_examples_print_what_the_readme_shows(self, capsys):
+        examples = readme_examples()
+        assert [argv[:2] for argv, _ in examples] == [["invert", "--method"], ["bell", "3"]]
+        for argv, shown in examples:
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert out.splitlines() == shown
 
 
 class TestEnumerationCommands:

@@ -1,6 +1,7 @@
 """The three operator products, their identities, and the chain constructions."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,10 @@ class TestProducts:
             xd().diamond(x1d1())
         with pytest.raises(ValueError):
             xd().apply(MultiPoly.variable(2, 0))
+        with pytest.raises(ValueError, match="variable-count mismatch: 1 vs 2"):
+            DiffOp.vector_field([MultiPoly.variable(2, 0)])
+        with pytest.raises(ValueError, match="variable count must be positive"):
+            DiffOp.vector_field([])
 
     @pytest.mark.parametrize("bad", [0.5, True])
     def test_refuses_float_and_bool_coefficients(self, bad):
@@ -115,6 +120,27 @@ class TestProducts:
     def test_refuses_bad_derivative_indices(self, beta):
         with pytest.raises(ValueError, match="bad derivative multi-index"):
             DiffOp(1, {beta: 1})
+        with pytest.raises(ValueError, match="bad derivative multi-index"):
+            MultiPoly(1, {(2,): 1}).partial(beta)
+
+    @pytest.mark.parametrize(
+        "operation",
+        [DiffOp.diamond, DiffOp.circ, DiffOp.bullet, operator.add, operator.sub,
+         lambda a, b: -a, lambda a, b: 2 * a],
+        ids=["diamond", "circ", "bullet", "add", "sub", "neg", "scale"],
+    )
+    def test_results_skip_the_public_constructor(self, monkeypatch, operation):
+        # operands are checked once, when built; their results are not checked again
+        x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        a = DiffOp(2, {(1, 0): x2, (0, 2): MultiPoly.const(2, "1/2")})
+        b = DiffOp(2, {(0, 1): x1 * x2, (1, 1): -x1, (0, 0): 3})
+        expected = operation(a, b)
+
+        def refuse(self, *args):
+            raise AssertionError("an operation result went through DiffOp.__init__")
+
+        monkeypatch.setattr(DiffOp, "__init__", refuse)
+        assert operation(a, b) == expected
 
     def test_zero_is_first_order(self):
         assert DiffOp.zero(2).is_first_order()

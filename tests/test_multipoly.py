@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opseries import MultiPoly
+from opseries import EgfSeries, MultiPoly
 
 COEFFS = st.sampled_from(
     [
@@ -133,6 +133,8 @@ class TestBoundary:
             MultiPoly(1, {(1,): bad})
         with pytest.raises(ValueError, match=r'an int, Fraction or "p/q" string'):
             MultiPoly.const(2, bad)
+        with pytest.raises(ValueError, match=r'an int, Fraction or "p/q" string'):
+            EgfSeries([0, bad])
 
     @pytest.mark.parametrize("alpha", [(True,), (1.0,), (-1,), (1, 0)])
     def test_refuses_bad_exponents(self, alpha):

@@ -28,6 +28,7 @@ from opseries import (
     verify_product_identities,
     verify_stirling_power,
 )
+import opseries.verify as verify_module
 from opseries.verify import SUITES, _indices_up_to, _report, _trial_seed
 
 
@@ -240,6 +241,19 @@ class TestReports:
         assert _report("t", "", left, right, 0.0).left == "a: x\nb: 1"
         assert _report("t", "", left, right, 0.0).passed is False
         assert _report("t", "", left, list(left), 0.0).passed is True
+
+    def test_passing_report_renders_one_side(self, monkeypatch):
+        # equal sides render equal, so the right side is rendered only on failure
+        rendered = []
+
+        def counted(side, original=verify_module._render):
+            rendered.append(side)
+            return original(side)
+
+        monkeypatch.setattr(verify_module, "_render", counted)
+        report = verify_partition_expansion(random_op_list(RandomSpec(seed=9), 4))
+        assert report.passed and report.left == report.right
+        assert len(rendered) == 1
 
     def test_reports_reproducible(self):
         first = [r.as_dict() for r in verify_product_identities(RandomSpec(seed=13), 5)]
