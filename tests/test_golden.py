@@ -7,7 +7,9 @@ definition; a change that alters any rendered byte fails here.  The
 ``compos --m 6`` and ``prop1 --degree 3`` cases pin the large-operand
 path (hundreds of fractional coefficients); they were recorded from the
 code before ``MultiPoly`` moved to integer numerators over one shared
-denominator.
+denominator.  The ``inversion --order 24`` and ``invert --order 16`` cases
+pin ``compose`` and ``newton_inverse`` at sizes where they do real work;
+they were recorded from the code before both moved to one power table.
 """
 
 import hashlib
@@ -21,12 +23,15 @@ XEMX = ",".join(str((-1) ** (m - 1) * m) for m in range(1, 8))  # x e^{-x} to or
 INVERT = ["invert", "--order", "6", "--coeffs", "0," + XEMX]
 OGF = ["invert", "--order", "5", "--coeffs", "0,1,1,0,0,0,0", "--convention", "ogf"]
 VERIFY = ["--seed", "7", "--format", "json"]
+MIXED = "0,1,-2,0,1/2,2,-1,0,1,1/2,-2,0,2,-1,1,0,1/2,-1"  # zeros, +-1, +-2, 1/2; order 17
 
 GOLDEN = [
     (INVERT + ["--method", "all", "--format", "json"],
      "3a14fa67fda6749045d093f51346f0bf6dadbd19909f3977b99b3c55c9b1591d"),
     (OGF + ["--method", "all", "--format", "json"],
      "2b5b9b82a9c3b8ac294e22320c4dad3eb41f0e4c5f4ccd5999663a905f591645"),
+    (["invert", "--order", "16", "--coeffs", MIXED, "--method", "all", "--format", "json"],
+     "e6e2f1264f621c543c28d026dbffcc952a86dfc729ff365450896e11ed27b486"),
     (INVERT + ["--method", "log"],
      "22e759c1ea6678e5d4a99d728e10ff8451077f828ffc48d62be08d3fabbdd7c8"),
     (["verify", "prop1"] + VERIFY,
@@ -48,6 +53,8 @@ GOLDEN = [
      "1495861761a5cf5893e13eb8bab01cb19d3c54d0272ac71e046ab559c8aaccea"),
     (["verify", "inversion"] + VERIFY,
      "176afae3d28ac53426fd52b99163025c9cd01349f060263d1cb95760f3ef15c5"),
+    (["verify", "inversion", "--order", "24", "--seed", "3", "--format", "json"],
+     "686b9a9744c1b2f5c2a043d16d8f6a4ea535494bb5387e916988f7c348835686"),
     (["partitions", "4"],
      "8831d6b0e99c155bb844f6e8b923b67329040023c4c66b34efa737987e70de6a"),
     (["bell", "4"],
