@@ -29,7 +29,6 @@ zero coefficients, like ``MultiPoly._reduced``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .multipoly import (
@@ -38,6 +37,7 @@ from .multipoly import (
     Scalar,
     _check_index,
     _check_same_n,
+    _is_scalar,
     _join_signed,
     _monomial_str,
     index_binomial,
@@ -148,7 +148,7 @@ class DiffOp:
         return DiffOp._reduced(self._n, {b: -u for b, u in self._terms.items()})
 
     def __mul__(self, scalar: Scalar) -> DiffOp:
-        if isinstance(scalar, (int, Fraction)):
+        if _is_scalar(scalar):
             return DiffOp._reduced(self._n, {b: u * scalar for b, u in self._terms.items()})
         return NotImplemented
 

@@ -82,6 +82,14 @@ def _scalar(c: object) -> Fraction:
     raise ValueError(f'bad coefficient {c!r}: need an int, Fraction or "p/q" string')
 
 
+def _is_scalar(c: object) -> bool:
+    # whether c is the factor of a scalar product (an int or Fraction); a bool
+    # is refused with the coefficient contract's error, not read as 0 or 1
+    if isinstance(c, bool):
+        _scalar(c)
+    return isinstance(c, (int, Fraction))
+
+
 def _check_index(alpha: Iterable[int], n: int, what: str) -> MultiIndex:
     """``alpha`` as a tuple of ``n`` non-negative ints (no bools), else ValueError."""
     alpha = tuple(alpha)
@@ -204,7 +212,7 @@ class MultiPoly:
         return MultiPoly._reduced(self._n, _scaled(self._nums, -1), self._den)
 
     def __mul__(self, other: MultiPoly | Scalar) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return MultiPoly._reduced(
                 self._n, _scaled(self._nums, other.numerator), self._den * other.denominator
             )
@@ -219,7 +227,7 @@ class MultiPoly:
         return MultiPoly._reduced(self._n, out, self._den * other._den)
 
     def __rmul__(self, other: Scalar) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self * other
         return NotImplemented
 

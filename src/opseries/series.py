@@ -8,7 +8,11 @@ and nothing is ever silently zero-padded.
 
 Products use the binomial convolution ``(fg)_m = sum_k C(m,k) f_k g_{m-k}``;
 ``exp``/``ln`` are computed by the triangular recurrences coming from the
-defining ODEs ``g' = f'g`` and ``fg' = f'``.
+defining ODEs ``g' = f'g`` and ``fg' = f'``.  Composition ``f(g)`` and the
+Newton solve share one triangular table of the powers ``g^k``, extended
+one coefficient column at a time: column ``n`` reads only ``b_1 .. b_{n-1}``
+of ``g`` and the earlier columns, and order ``N`` costs about ``N^3/6``
+products.
 
 Four compositional-inverse algorithms are provided for series with zero
 constant term and invertible linear coefficient:
@@ -20,7 +24,7 @@ constant term and invertible linear coefficient:
 * :func:`log_form_inverse` -- iterate the same operator starting from
   ``e^x``, then take the log of the collected constant-term series;
 * :func:`newton_inverse` -- triangular coefficient-by-coefficient solve
-  of ``f(g(x)) = x`` (the independent cross-check).
+  of ``f(g(x)) = x`` over that power table (the independent cross-check).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .multipoly import Scalar, _join_signed, _scalar
+from .multipoly import Scalar, _is_scalar, _join_signed, _scalar
 
 T = TypeVar("T")
 
@@ -60,6 +64,26 @@ def _ln_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], zero: T) -> li
             term = term - math.comb(m, k) * mul(coeffs[m - k], out[k + 1])
         out.append(term)
     return out
+
+
+def _power_sums(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> Iterator[Fraction]:
+    # for n = 1..order, yield sum_{k>=2} a_k/k! [g^k]_n, where [g^k]_n is egf
+    # coefficient n of g^k for g = sum b_m x^m/m! (b_0 = 0).  A triangular table
+    # of powers is extended one column per step:
+    # [g^k]_n = sum_{j=k-1}^{n-1} C(n,j) [g^(k-1)]_j b_(n-j) for k = 2..n, so
+    # column n reads only b_1..b_(n-1) and earlier columns; a caller may write
+    # b_n after the n-th yield, as newton_inverse does.  About order^3/6 products.
+    weights = [a[k] / math.factorial(k) for k in range(order + 1)]
+    powers = [None, b] + [[0] * (order + 1) for _ in range(2, order + 1)]
+    for n in range(1, order + 1):  # powers[k][j] = [g^k]_j, zero below j = k
+        binom = [math.comb(n, j) for j in range(n)]
+        total = 0
+        for k in range(2, n + 1):
+            prev = powers[k - 1]
+            value = sum(binom[j] * prev[j] * b[n - j] for j in range(k - 1, n))
+            powers[k][n] = value
+            total += weights[k] * value
+        yield total
 
 
 class EgfSeries:
@@ -137,7 +161,7 @@ class EgfSeries:
         return EgfSeries(-c for c in self._coeffs)
 
     def __mul__(self, other: EgfSeries | Scalar) -> EgfSeries:
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return EgfSeries(c * other for c in self._coeffs)
         if not isinstance(other, EgfSeries):
             return NotImplemented
@@ -149,7 +173,7 @@ class EgfSeries:
         )
 
     def __rmul__(self, other: Scalar) -> EgfSeries:
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self * other
         return NotImplemented
 
@@ -171,20 +195,21 @@ class EgfSeries:
         return EgfSeries(out)
 
     def compose(self, inner: EgfSeries) -> EgfSeries:
-        """Substitute ``inner`` (which must vanish at 0) into this series."""
+        """Substitute ``inner`` (which must vanish at 0) into this series.
+
+        Coefficient ``n`` of ``f(g)`` is ``a_1 b_n`` plus the power-table
+        sum ``sum_{k>=2} a_k/k! [g^k]_n`` (see :func:`_power_sums`), and
+        coefficient 0 is ``a_0``.  About ``N^3/6`` multiply-adds at order
+        ``N = min(self.order, inner.order)``.
+        """
         if not isinstance(inner, EgfSeries):
             raise TypeError("compose expects another series")
         if inner._coeffs[0] != 0:
             raise ValueError("inner series must have zero constant term")
         upto = min(self.order, inner.order)
-        g = inner.truncate(upto)
-        acc = EgfSeries.zero(upto)
-        for k in range(upto, -1, -1):
-            acc = acc * g
-            ck = self._coeffs[k] / math.factorial(k)
-            if ck:
-                acc = EgfSeries((acc._coeffs[0] + ck,) + acc._coeffs[1:])
-        return acc
+        a, b = self._coeffs, inner._coeffs
+        sums = _power_sums(a, b, upto)
+        return EgfSeries([a[0]] + [a[1] * b[n] + s for n, s in enumerate(sums, start=1)])
 
     def exp(self) -> EgfSeries:
         """Exponential; requires zero constant term."""
@@ -342,19 +367,20 @@ def log_form_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
 def newton_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     """Solve ``f(g(x)) = x`` coefficient by coefficient.
 
-    The unknown ``b_n`` enters the n-th coefficient of ``f(g)`` only
-    through the linear term ``a_1 b_n``, so each step is one exact
-    division.  Independent of the other three algorithms; needs ``f``
-    valid to ``order``.
+    The unknown ``b_n`` enters coefficient ``n`` of ``f(g)`` only through
+    the linear term ``a_1 b_n``: every power ``g^k`` with ``k >= 2`` reads
+    ``b_1 .. b_{n-1}`` there.  So each step takes the power-table sum of
+    :func:`_power_sums` for column ``n`` and does one exact division,
+    ``b_n = (delta_{n,1} - sum) / a_1``, about ``N^3/6`` multiply-adds in
+    all.  It uses no powers of ``x/f``, no operator iterates and no
+    ``ln``, so it stays independent of the other three algorithms; needs
+    ``f`` valid to ``order``.
     """
     f = _inverse_input(f, order, order)
-    a1 = f[1]
+    a = f.coeffs
     out = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        g = EgfSeries(out[: n + 1])  # b_n still zero here
-        value = f.truncate(n).compose(g)[n]
-        target = Fraction(1) if n == 1 else Fraction(0)
-        out[n] = (target - value) / a1
+    for n, value in enumerate(_power_sums(a, out, order), start=1):
+        out[n] = ((1 if n == 1 else 0) - value) / a[1]  # column n + 1 reads it
     return EgfSeries(out)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opseries import EgfSeries, MultiPoly
+from opseries import DiffOp, EgfSeries, MultiPoly
 
 COEFFS = st.sampled_from(
     [
@@ -135,6 +135,22 @@ class TestBoundary:
             MultiPoly.const(2, bad)
         with pytest.raises(ValueError, match=r'an int, Fraction or "p/q" string'):
             EgfSeries([0, bad])
+
+    # x * True used to print x1, x * False 0, and EgfSeries([0, 1]) * True x
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "operand",
+        [MultiPoly.variable(1, 0), DiffOp(1, {(1,): MultiPoly.variable(1, 0)}),
+         DiffOp.zero(1), EgfSeries([0, 1])],
+        ids=["MultiPoly", "DiffOp", "DiffOp.zero", "EgfSeries"],
+    )
+    def test_scalar_products_refuse_bools(self, operand, flag):
+        with pytest.raises(ValueError, match=r'an int, Fraction or "p/q" string'):
+            operand * flag
+        with pytest.raises(ValueError, match=r'an int, Fraction or "p/q" string'):
+            flag * operand
+        assert operand.__mul__(0.5) is NotImplemented
+        assert operand.__rmul__(0.5) is NotImplemented
 
     @pytest.mark.parametrize("alpha", [(True,), (1.0,), (-1,), (1, 0)])
     def test_refuses_bad_exponents(self, alpha):

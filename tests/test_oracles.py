@@ -15,7 +15,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from sympy.polys.domains import QQ  # noqa: E402
-from sympy.polys.ring_series import rs_series_reversion  # noqa: E402
+from sympy.polys.ring_series import rs_series_from_list, rs_series_reversion  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
 from opseries import (  # noqa: E402
@@ -80,3 +80,48 @@ def test_apply_matches_sympy_diff(seed, n):
             dp = sympy.diff(dp, x, e)
         expected += to_sympy(u, xs) * dp
     assert sympy.expand(to_sympy(op.apply(p), xs) - expected) == 0
+
+
+def sympy_compose(outer, inner):
+    """The egf coefficients of outer(inner), by sympy's ``sum c_k p^k`` over QQ."""
+    upto = min(outer.order, inner.order)
+    R, x = ring("x", QQ)
+    p = sum((QQ(c.numerator, c.denominator * math.factorial(m)) * x**m
+             for m, c in enumerate(inner.coeffs)), R.zero)
+    c = [QQ(a.numerator, a.denominator * math.factorial(k)) for k, a in enumerate(outer.coeffs)]
+    h = rs_series_from_list(p, c, x, upto + 1)
+    coeffs = []
+    for m in range(upto + 1):
+        q = h.coeff(x**m)
+        coeffs.append(Fraction(q.numerator, q.denominator) * math.factorial(m))
+    return EgfSeries(coeffs)
+
+
+POOL = [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]
+
+# outer order, inner order, outer coefficients pinned by index
+COMPOSE_SHAPES = {
+    "a0-nonzero": (8, 8, {0: 3}),
+    "a1-zero": (8, 8, {0: 0, 1: 0}),
+    "interior-zeros": (10, 10, {2: 0, 3: 0, 5: 0, 6: 0, 7: 0}),
+    "outer-shorter": (5, 9, {}),
+    "inner-shorter": (11, 6, {}),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("shape", COMPOSE_SHAPES)
+def test_compose_matches_sympy(shape, seed):
+    outer_order, inner_order, pinned = COMPOSE_SHAPES[shape]
+    rng = random.Random(f"{shape}:{seed}")
+    a = [pinned.get(k, rng.choice(POOL)) for k in range(outer_order + 1)]
+    b = [0] + [rng.choice(POOL) for _ in range(inner_order)]
+    outer, inner = EgfSeries(a), EgfSeries(b)
+    assert outer.compose(inner) == sympy_compose(outer, inner)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_newton_reversion_matches_sympy_at_order_24(seed):
+    order = 24
+    f = random_invertible_series(RandomSpec(seed=seed), order)
+    assert newton_inverse(f, order) == sympy_inverse(f, order)

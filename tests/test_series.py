@@ -20,6 +20,7 @@ from opseries import (
     ogf_to_egf,
     operator_inverse,
     operator_iterate,
+    series,
     to_json_dict,
 )
 
@@ -160,6 +161,17 @@ class TestComposeExpLn:
         g = EgfSeries([0, 2, 1, Fraction(1, 2)])
         assert EgfSeries.identity(3).compose(g) == g
 
+    def test_compose_takes_no_series_product(self, monkeypatch):
+        # compose walks its own power table instead of multiplying series
+        f, g = EgfSeries([3, 0, 1, -2, 0, Fraction(1, 2), 2]), x_exp_minus_x(6)
+        expected = f.compose(g)
+
+        def refuse(*args):
+            raise AssertionError("compose called EgfSeries.__mul__")
+
+        monkeypatch.setattr(EgfSeries, "__mul__", refuse)
+        assert f.compose(g) == expected
+
     def test_compose_needs_zero_constant(self):
         with pytest.raises(ValueError):
             EgfSeries([1, 1]).compose(EgfSeries([1, 1]))
@@ -270,6 +282,20 @@ class TestInverseMethods:
         assert half == EgfSeries([0, Fraction(1, 2), 0, 0])
         g = newton_inverse(x_exp_minus_x(6), 6)
         assert list(g.coeffs[1:]) == [1, 2, 9, 64, 625, 7776]
+
+    def test_newton_shares_no_step_with_the_other_methods(self, monkeypatch):
+        # the cross-check takes no series product, reciprocal, ln, compose or
+        # operator iterate, so it cannot share a fault with the other three
+        f = x_exp_minus_x(11)
+        expected = log_form_inverse(f, 10)
+
+        def refuse(*args):
+            raise AssertionError("newton_inverse used a step another method uses")
+
+        for name in ("__mul__", "reciprocal", "ln", "compose"):
+            monkeypatch.setattr(EgfSeries, name, refuse)
+        monkeypatch.setattr(series, "_iterates", refuse)
+        assert newton_inverse(f, 10) == expected
 
     def test_methods_agree_on_seeded_random_series(self):
         import random
