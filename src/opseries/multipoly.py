@@ -86,7 +86,7 @@ def _is_scalar(c: object) -> bool:
     # whether c is the factor of a scalar product (an int or Fraction); a bool
     # is refused with the coefficient contract's error, not read as 0 or 1
     if isinstance(c, bool):
-        _scalar(c)
+        _scalar(c)  # always raises for a bool
     return isinstance(c, (int, Fraction))
 
 

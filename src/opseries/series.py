@@ -197,10 +197,11 @@ class EgfSeries:
     def compose(self, inner: EgfSeries) -> EgfSeries:
         """Substitute ``inner`` (which must vanish at 0) into this series.
 
-        Coefficient ``n`` of ``f(g)`` is ``a_1 b_n`` plus the power-table
-        sum ``sum_{k>=2} a_k/k! [g^k]_n`` (see :func:`_power_sums`), and
-        coefficient 0 is ``a_0``.  About ``N^3/6`` multiply-adds at order
-        ``N = min(self.order, inner.order)``.
+        With ``a`` the coefficients of this series and ``b`` those of
+        ``inner``, coefficient ``n`` of the result is ``a_1 b_n`` plus the
+        power-table sum ``sum_{k>=2} a_k/k! [g^k]_n`` of :func:`_power_sums`,
+        and coefficient 0 is ``a_0``.  About ``N^3/6`` multiply-adds at
+        order ``N = min(self.order, inner.order)``.
         """
         if not isinstance(inner, EgfSeries):
             raise TypeError("compose expects another series")
