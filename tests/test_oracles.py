@@ -1,6 +1,7 @@
 """Reversion and operator action checked against sympy, outside the package.
 
-``rs_series_reversion`` is the oracle for the inverse methods and
+``rs_series_reversion`` is the oracle for the inverse methods,
+``rs_series_from_list`` the oracle for :meth:`EgfSeries.compose` and
 ``sympy.diff`` the oracle for :meth:`DiffOp.apply`.  The module is skipped
 when sympy is not installed; it is declared in the ``test`` extra.
 """
