@@ -51,7 +51,7 @@ def _cmd_invert(args) -> int:
         payload = {
             "method": args.method,
             "order": order,
-            "input": to_json_dict(f.truncate(min(f.order, needed)), args.convention),
+            "input": to_json_dict(f.truncate(needed), args.convention),
             "inverse": to_json_dict(inverse, args.convention),
         }
         if args.method == "all":

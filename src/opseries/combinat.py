@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .diffop import DiffOp, _block, _check_op_list, _diamond_powers, unit_op
+from .diffop import DiffOp, _block, _check_indices, _check_op_list, _diamond_powers, unit_op
 from .multipoly import _join_signed
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
@@ -37,11 +37,13 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = [tuple(sorted(b)) for b in self.blocks]
+        blocks = [tuple(sorted(_check_indices(b))) for b in self.blocks]
         seen: set[int] = set()
         for block in blocks:
             if not block:
                 raise ValueError("empty block")
+            if len(set(block)) < len(block):
+                raise ValueError(f"block {block} repeats an element")
             if seen & set(block):
                 raise ValueError("blocks are not disjoint")
             seen |= set(block)

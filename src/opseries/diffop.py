@@ -251,8 +251,17 @@ def _check_op_list(ops: Sequence[DiffOp]) -> int:
     return n
 
 
+def _check_indices(indices: Iterable[int]) -> tuple[int, ...]:
+    # 1-based operator and partition labels: a float or bool would pass for an int
+    indices = tuple(indices)
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise ValueError(f"indices must be integers (not bools), got {i!r}")
+    return indices
+
+
 def _check_subset(indices: Iterable[int], m: int) -> tuple[int, ...]:
-    picked = tuple(sorted(set(indices)))
+    picked = tuple(sorted(set(_check_indices(indices))))
     if not picked:
         raise ValueError("index subset must be non-empty")
     if picked[0] < 1 or picked[-1] > m:

@@ -25,6 +25,11 @@ constant term and invertible linear coefficient:
   ``e^x``, then take the log of the collected constant-term series;
 * :func:`newton_inverse` -- triangular coefficient-by-coefficient solve
   of ``f(g(x)) = x`` over that power table (the independent cross-check).
+
+Their shared precondition is checked once per public entry point: the series
+(``a_0 = 0``, ``a_1 != 0``, valid far enough) by ``_as_invertible``, the order
+by ``_check_inverse_order``.  ``log_form_inverse`` leaves the series check to
+``log_form_terms``, and ``verify_inversion`` leaves it to ``classical_inverse``.
 """
 
 from __future__ import annotations
@@ -252,38 +257,25 @@ class EgfSeries:
         return f"EgfSeries([{', '.join(str(c) for c in self._coeffs)}])"
 
 
-class InvertibleSeries:
-    """Series with b_0 = 0 and b_1 != 0: the ones invertible under composition."""
+def _as_invertible(f: EgfSeries, needed: int = 1) -> None:
+    """Check the inverses' series contract: ``a_0 = 0``, ``a_1 != 0``, valid to ``needed``.
 
-    __slots__ = ("_series",)
-
-    def __init__(self, series: EgfSeries):
-        if series.order < 1:
-            raise ValueError("an invertible series needs order >= 1")
-        if series[0] != 0:
-            raise ValueError("constant term must be zero")
-        if series[1] == 0:
-            raise ValueError("a1 must be nonzero")
-        self._series = series
-
-    @property
-    def series(self) -> EgfSeries:
-        return self._series
-
-
-def _as_invertible(f: EgfSeries | InvertibleSeries, needed: int = 1) -> EgfSeries:
-    """The series behind ``f``, checked invertible and valid to order ``needed``."""
-    f = f.series if isinstance(f, InvertibleSeries) else InvertibleSeries(f).series
+    Every public function taking an invertible ``f`` runs this exactly once,
+    itself or through one callee, with the order of ``f`` that it reads.
+    """
+    if f.order < 1:
+        raise ValueError("an invertible series needs order >= 1")
+    if f[0] != 0:
+        raise ValueError("constant term must be zero")
+    if f[1] == 0:
+        raise ValueError("a1 must be nonzero")
     if f.order < needed:
         raise ValueError(f"input series must be valid to order {needed}, has {f.order}")
-    return f
 
 
-def _inverse_input(f: EgfSeries | InvertibleSeries, order: int, needed: int) -> EgfSeries:
-    """``_as_invertible(f, needed)`` for an inverse of ``order >= 1``: the methods' contract."""
+def _check_inverse_order(order: int) -> None:
     if order < 1:
         raise ValueError(f"inverse order must be >= 1, got {order}")
-    return _as_invertible(f, needed)
 
 
 def _iterates(f: EgfSeries, start: EgfSeries | None = None) -> Iterator[EgfSeries]:
@@ -296,7 +288,7 @@ def _iterates(f: EgfSeries, start: EgfSeries | None = None) -> Iterator[EgfSerie
         s = w * s.derivative()
 
 
-def classical_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
+def classical_inverse(f: EgfSeries, order: int) -> EgfSeries:
     """Compositional inverse coefficients from powers of x/f.
 
     ``b_n`` is the (n-1)-th coefficient of ``(x/f)^n``.  The removable
@@ -304,7 +296,8 @@ def classical_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     coefficient shift ``(f/x)_m = a_{m+1}/(m+1)``, then one reciprocal.
     Needs ``f`` valid to ``order + 1``.
     """
-    f = _inverse_input(f, order, order + 1)
+    _check_inverse_order(order)
+    _as_invertible(f, order + 1)
     shifted = EgfSeries(f.coeffs[m + 1] / (m + 1) for m in range(order + 1))
     w = shifted.reciprocal()  # x/f, valid to `order`
     out = [Fraction(0)] * (order + 1)
@@ -315,16 +308,14 @@ def classical_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     return EgfSeries(out)
 
 
-def operator_iterate(
-    f: EgfSeries | InvertibleSeries, start: EgfSeries, count: int
-) -> EgfSeries:
+def operator_iterate(f: EgfSeries, start: EgfSeries, count: int) -> EgfSeries:
     """Apply ``s -> (1/f') * s'`` to ``start`` the given number of times.
 
     Each application consumes one order of validity, so the result has
     order ``start.order - count`` (provided ``f`` itself is valid far
     enough for the 1/f' factor not to be the binding truncation).
     """
-    f = _as_invertible(f)
+    _as_invertible(f)
     if count < 0:
         raise ValueError("iteration count must be non-negative")
     if count > start.order:
@@ -337,35 +328,37 @@ def operator_iterate(
     return next(islice(_iterates(f, start), count, None))
 
 
-def operator_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
+def operator_inverse(f: EgfSeries, order: int) -> EgfSeries:
     """Inverse coefficients as constant terms of operator iterates of 1/f'.
 
     ``b_n`` is the constant term after ``n-1`` applications of
     ``(1/f') d/dx`` to ``1/f'``.  Needs ``f`` valid to ``order + 1``.
     """
-    f = _inverse_input(f, order, order + 1)
+    _check_inverse_order(order)
+    _as_invertible(f, order + 1)
     return EgfSeries([Fraction(0)] + [s[0] for s in islice(_iterates(f), order)])
 
 
-def log_form_terms(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
+def log_form_terms(f: EgfSeries, order: int) -> EgfSeries:
     """Constant terms of operator iterates of e^x, as a series.
 
     Coefficient ``m`` is the constant term of ``((1/f') d/dx)^m e^x``;
     coefficient 0 is always 1, so the result is a valid ``ln`` input.
     Needs ``f`` valid to ``order + 1``.
     """
-    f = _as_invertible(f, order + 1)
+    _as_invertible(f, order + 1)
     if order < 0:
         raise ValueError("order must be non-negative")
     return EgfSeries(s[0] for s in islice(_iterates(f, EgfSeries.exp_x(order)), order + 1))
 
 
-def log_form_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
+def log_form_inverse(f: EgfSeries, order: int) -> EgfSeries:
     """Compositional inverse as the log of the operator-iterate series."""
-    return log_form_terms(_inverse_input(f, order, order + 1), order).ln()
+    _check_inverse_order(order)  # log_form_terms checks the series
+    return log_form_terms(f, order).ln()
 
 
-def newton_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
+def newton_inverse(f: EgfSeries, order: int) -> EgfSeries:
     """Solve ``f(g(x)) = x`` coefficient by coefficient.
 
     The unknown ``b_n`` enters coefficient ``n`` of ``f(g)`` only through
@@ -377,7 +370,8 @@ def newton_inverse(f: EgfSeries | InvertibleSeries, order: int) -> EgfSeries:
     ``ln``, so it stays independent of the other three algorithms; needs
     ``f`` valid to ``order``.
     """
-    f = _inverse_input(f, order, order)
+    _check_inverse_order(order)
+    _as_invertible(f, order)
     a = f.coeffs
     out = [Fraction(0)] * (order + 1)
     for n, value in enumerate(_power_sums(a, out, order), start=1):

@@ -123,6 +123,12 @@ class TestInvert:
         assert code == 2
         assert "a1 must be nonzero" in err
 
+    def test_nonzero_constant_term_exits_2(self, capsys):
+        code, out, err = run(["invert", "--coeffs", "1,1,1", "--order", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "constant term must be zero" in err
+
     def test_insufficient_order_exits_2(self, capsys):
         code, _, err = run(["invert", "--order", "6", "--coeffs", "0,1,1"], capsys)
         assert code == 2

@@ -89,6 +89,12 @@ class TestSetPartitions:
         for blocks in [((), (1, 2, 3)), ((1, 2, 3), ())]:
             with pytest.raises(ValueError, match="empty block"):
                 SetPartition(3, blocks)
+        with pytest.raises(ValueError, match="repeats an element"):
+            SetPartition(2, ((1, 1), (2,)))
+        # a float or bool label would render as 1.0 or True and compare equal to 1
+        for blocks in [((1.0,), (2,)), ((True,), (2,)), (("1",), (2,)), ((1,), (2, 2.0))]:
+            with pytest.raises(ValueError, match="indices must be integers"):
+                SetPartition(2, blocks)
 
     def test_rendering(self):
         assert str(SetPartition(3, ((2,), (1, 3)))) == "13-2"
@@ -118,6 +124,8 @@ class TestPartitionOperator:
             [{1, 2, 3}, {4}],  # element outside 1..3
             SetPartition(2, ((1, 2),)),  # partition of the wrong ground set
             SetPartition(4, ((1, 2), (3, 4))),
+            [(1, 1), (2,), (3,)],  # repeated element inside a block
+            [(1.0,), (2,), (3,)],
         ],
     )
     def test_invalid_partition_rejected(self, partition):

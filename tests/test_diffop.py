@@ -262,6 +262,10 @@ class TestChains:
             diamond_chain(ops, {0, 1})
         with pytest.raises(ValueError):
             diamond_chain(ops, {4})
+        for build in (diamond_chain, subset_operator):
+            for indices in ([1.5], ["1"], [True], [1, 2.0]):
+                with pytest.raises(ValueError, match="indices must be integers"):
+                    build(ops, indices)
         with pytest.raises(ValueError):
             partition_operator(ops, [{1, 2}])  # misses 3
         with pytest.raises(ValueError):

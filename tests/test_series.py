@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from opseries import (
     EgfSeries,
     INVERSE_METHODS,
-    InvertibleSeries,
     classical_inverse,
     egf_to_ogf,
     from_json_dict,
@@ -22,6 +21,7 @@ from opseries import (
     operator_iterate,
     series,
     to_json_dict,
+    verify_inversion,
 )
 
 COEFFS = st.sampled_from(
@@ -202,18 +202,36 @@ class TestComposeExpLn:
         assert src.ln() == expected
 
 
-class TestInvertibleSeries:
-    def test_validates(self):
-        with pytest.raises(ValueError, match="constant term"):
-            InvertibleSeries(EgfSeries([1, 1]))
-        with pytest.raises(ValueError, match="a1"):
-            InvertibleSeries(EgfSeries([0, 0, 1]))
-        wrapped = InvertibleSeries(EgfSeries([0, 2, 1]))
-        assert wrapped.series[1] == 2
+# every public function that takes an invertible series, called as (f, order)
+TAKES_INVERTIBLE = {
+    **INVERSE_METHODS,
+    "log_form_terms": log_form_terms,
+    "operator_iterate": lambda f, order: operator_iterate(f, EgfSeries.exp_x(order), order),
+    "verify_inversion": verify_inversion,
+}
+NOT_INVERTIBLE = {
+    "constant-term": (EgfSeries([1, 1, 1, 1]), "constant term must be zero"),
+    "a1-zero": (EgfSeries([0, 0, 1, 1]), "a1 must be nonzero"),
+    "order-0": (EgfSeries([0]), "an invertible series needs order >= 1"),
+    "too-short": (EgfSeries([0, 1]), "input series must be valid to order [23], has 1"),
+}
 
-    def test_accepted_by_algorithms(self):
-        f = InvertibleSeries(x_exp_minus_x(6))
-        assert classical_inverse(f, 5)[1] == 1
+
+class TestInvertibilityRefusals:
+    @pytest.mark.parametrize(
+        "case,entry",
+        [
+            (case, entry)
+            for entry in TAKES_INVERTIBLE
+            for case in NOT_INVERTIBLE
+            # operator_iterate reads f to order 1 only: its start bounds the result
+            if (case, entry) != ("too-short", "operator_iterate")
+        ],
+    )
+    def test_refused_by_name(self, case, entry):
+        f, contract = NOT_INVERTIBLE[case]
+        with pytest.raises(ValueError, match=contract):
+            TAKES_INVERTIBLE[entry](f, 2)
 
 
 class TestClassicalInverse:

@@ -28,8 +28,11 @@ from opseries import (
     verify_product_identities,
     verify_stirling_power,
 )
+import opseries.series as series_module
 import opseries.verify as verify_module
+from opseries.cli import main
 from opseries.verify import SUITES, _indices_up_to, _report, _trial_seed
+from test_series import TAKES_INVERTIBLE
 
 
 def forbid_unit_operands(monkeypatch, n):
@@ -44,6 +47,52 @@ def forbid_unit_operands(monkeypatch, n):
             return original(x, y)
 
         monkeypatch.setattr(DiffOp, name, guarded)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+INVERTIBLE = EgfSeries([0] + [1] * 9)  # valid to order 9: enough for order-8 inverses
+
+
+class TestChecksRunOnce:
+    """Each contract is checked once per entry point; a caller trusts its callee's check."""
+
+    @pytest.mark.parametrize("entry", list(TAKES_INVERTIBLE))
+    def test_entry_point_checks_invertibility_once(self, monkeypatch, entry):
+        calls = count_calls(monkeypatch, series_module, "_as_invertible")
+        TAKES_INVERTIBLE[entry](INVERTIBLE, 8)
+        # verify_inversion leaves the check to each of the four methods it calls
+        assert len(calls) == (4 if entry == "verify_inversion" else 1)
+
+    @pytest.mark.parametrize("method,expected", [("log", 2), ("all", 5)])
+    def test_cli_invert_checks_once_per_call(self, monkeypatch, method, expected):
+        # the log method and the printed c terms each call log_form_terms
+        calls = count_calls(monkeypatch, series_module, "_as_invertible")
+        coeffs = ",".join(map(str, INVERTIBLE.coeffs))
+        assert main(["invert", "--method", method, "--order", "8", "--coeffs", coeffs]) == 0
+        assert len(calls) == expected
+
+    def test_bell_power_checks_first_order_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, DiffOp, "is_first_order")
+        assert verify_bell_power(random_vector_field(RandomSpec(seed=2)), 4).passed
+        assert len(calls) == 1
+
+    def test_bell_power_refuses_before_any_product(self, monkeypatch):
+        for name in ("diamond", "circ", "bullet"):
+            monkeypatch.setattr(DiffOp, name, lambda x, y: pytest.fail("product formed"))
+        second_order = DiffOp(1, {(2,): MultiPoly.const(1, 1)})
+        with pytest.raises(ValueError, match="operator must be first order"):
+            verify_bell_power(second_order, 4)
 
 
 class TestRandomGenerators:
