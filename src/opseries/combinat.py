@@ -23,6 +23,7 @@ from .diffop import DiffOp, _block, _check_indices, _check_op_list, _diamond_pow
 from .multipoly import _join_signed
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
+MAX_INT_PARTITION_SIZE = 40  # p(40) = 37,338; p(100) = 190,569,292 is out of reach
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,14 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = [tuple(sorted(_check_indices(b))) for b in self.blocks]
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
+            raise ValueError(f"ground set size must be a positive integer, got {self.m!r}")
+        try:
+            raw = tuple(self.blocks)
+        except TypeError:
+            msg = f"partition must be an iterable of blocks, got {self.blocks!r}"
+            raise ValueError(msg) from None
+        blocks = [tuple(sorted(_check_indices(b))) for b in raw]
         seen: set[int] = set()
         for block in blocks:
             if not block:
@@ -118,6 +126,8 @@ def integer_partitions(m: int) -> list[IntPartition]:
     """All integer partitions of ``m`` in multiplicity form."""
     if m < 1:
         raise ValueError(f"partitioned integer must be positive, got {m}")
+    if m > MAX_INT_PARTITION_SIZE:
+        raise ValueError(f"integer partitions capped at m <= {MAX_INT_PARTITION_SIZE}, got {m}")
     out: list[IntPartition] = []
     mults = [0] * m
 
@@ -208,9 +218,10 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     n = op.n
     if m == 0:
         return unit_op(n)
+    terms = bell_polynomial(m).terms  # enforces the size cap before any product
     generators = [op] + [p.circ(op) for p in _diamond_powers(op, m - 1)[1:]]  # op^{i-1} o op
     total = DiffOp.zero(n)
-    for part, count in bell_polynomial(m).terms.items():
+    for part, count in terms.items():
         factors = [g for g, mult in zip(generators, part.multiplicities) for _ in range(mult)]
         total = total + count * reduce(DiffOp.bullet, factors)
     return total
@@ -227,7 +238,7 @@ def partition_operator(
     matter since the bullet product is commutative.
     """
     _check_op_list(ops)
-    part = SetPartition(len(ops), tuple(getattr(partition, "blocks", partition)))
+    part = SetPartition(len(ops), getattr(partition, "blocks", partition))
     return reduce(DiffOp.bullet, (_block(ops, block, {}) for block in part.blocks))
 
 

@@ -63,7 +63,7 @@ class DiffOp:
     equality.  The zero operator is the empty sum.
     """
 
-    __slots__ = ("_n", "_terms", "_hash")
+    __slots__ = ("_n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[MultiIndex, MultiPoly | Scalar] | None = None):
         if n < 1:
@@ -78,7 +78,6 @@ class DiffOp:
                 clean[beta] = u
         self._n = n
         self._terms = clean
-        self._hash: int | None = None
 
     @classmethod
     def _reduced(cls, n: int, terms: dict[MultiIndex, MultiPoly]) -> DiffOp:
@@ -86,7 +85,6 @@ class DiffOp:
         out = object.__new__(cls)
         out._n = n
         out._terms = {b: u for b, u in terms.items() if not u.is_zero()}
-        out._hash = None
         return out
 
     @classmethod
@@ -205,9 +203,7 @@ class DiffOp:
         return self._n == other._n and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._n, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self._n, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         parts = []
@@ -253,7 +249,10 @@ def _check_op_list(ops: Sequence[DiffOp]) -> int:
 
 def _check_indices(indices: Iterable[int]) -> tuple[int, ...]:
     # 1-based operator and partition labels: a float or bool would pass for an int
-    indices = tuple(indices)
+    try:
+        indices = tuple(indices)
+    except TypeError:
+        raise ValueError(f"indices must be an iterable of labels, got {indices!r}") from None
     for i in indices:
         if isinstance(i, bool) or not isinstance(i, int):
             raise ValueError(f"indices must be integers (not bools), got {i!r}")

@@ -115,7 +115,7 @@ class MultiPoly:
     between rings.
     """
 
-    __slots__ = ("_n", "_nums", "_den", "_hash")
+    __slots__ = ("_n", "_nums", "_den")
 
     def __init__(self, n: int, terms: Mapping[MultiIndex, Scalar | str] | None = None):
         if n < 1:
@@ -131,7 +131,6 @@ class MultiPoly:
         self._n = n
         self._nums = {a: c.numerator * (den // c.denominator) for a, c in coeffs.items()}
         self._den = den
-        self._hash: int | None = None
 
     @classmethod
     def _reduced(cls, n: int, nums: dict[MultiIndex, int], den: int) -> MultiPoly:
@@ -146,7 +145,6 @@ class MultiPoly:
         out._n = n
         out._nums = nums
         out._den = den
-        out._hash = None
         return out
 
     @classmethod
@@ -254,9 +252,7 @@ class MultiPoly:
         return self._n == other._n and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._n, self._den, frozenset(self._nums.items())))
-        return self._hash
+        return hash((self._n, self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
         parts = []

@@ -6,9 +6,10 @@ guaranteed correct and is tracked explicitly through every operation:
 differentiation drops it by one, binary operations take the minimum,
 and nothing is ever silently zero-padded.
 
-Products use the binomial convolution ``(fg)_m = sum_k C(m,k) f_k g_{m-k}``;
-``exp``/``ln`` are computed by the triangular recurrences coming from the
-defining ODEs ``g' = f'g`` and ``fg' = f'``.  Composition ``f(g)`` and the
+Products use the binomial convolution ``(fg)_m = sum_k C(m,k) f_k g_{m-k}``.
+``exp`` is the triangular recurrence of the defining ODE ``g' = f'g``; one
+triangular solve of ``den * q = num`` serves ``reciprocal`` (numerator one)
+and ``ln`` (``q = f'/f``, then a shift).  Composition ``f(g)`` and the
 Newton solve share one triangular table of the powers ``g^k``, extended
 one coefficient column at a time: column ``n`` reads only ``b_1 .. b_{n-1}``
 of ``g`` and the earlier columns, and order ``N`` costs about ``N^3/6``
@@ -59,14 +60,14 @@ def _exp_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], one: T) -> li
     return out
 
 
-def _ln_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], zero: T) -> list[T]:
-    # logarithm by f g' = f': g_{m+1} = f_{m+1} - sum_{k<m} C(m,k) f_{m-k} g_{k+1};
-    # coeffs[0] must be one
-    out = [zero]
-    for m in range(len(coeffs) - 1):
-        term = coeffs[m + 1]
-        for k in range(m):
-            term = term - math.comb(m, k) * mul(coeffs[m - k], out[k + 1])
+def _quotient(num: Sequence[T], den: Sequence[T], mul: Callable[[T, T], T]) -> list[T]:
+    # the q with den * q = num under the binomial convolution, over any ring
+    # given by its product; den[0] must be the ring's one, so no step divides:
+    # q_m = num_m - sum_{k=1..m} C(m,k) den_k q_{m-k}, for m < len(num)
+    out: list[T] = []
+    for m, term in enumerate(num):
+        for k in range(1, m + 1):
+            term = term - math.comb(m, k) * mul(den[k], out[m - k])
         out.append(term)
     return out
 
@@ -189,15 +190,12 @@ class EgfSeries:
         return EgfSeries(self._coeffs[1:])
 
     def reciprocal(self) -> EgfSeries:
-        """Multiplicative inverse, by the triangular convolution recurrence."""
+        """Multiplicative inverse: solve ``(f/a_0) q = 1/a_0`` by :func:`_quotient`."""
         if self._coeffs[0] == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
         inv0 = 1 / self._coeffs[0]
-        out = [inv0]
-        for m in range(1, self.order + 1):
-            s = sum(math.comb(m, k) * self._coeffs[k] * out[m - k] for k in range(1, m + 1))
-            out.append(-inv0 * s)
-        return EgfSeries(out)
+        scaled = [c * inv0 for c in self._coeffs]
+        return EgfSeries(_quotient([inv0] + [0] * self.order, scaled, operator.mul))
 
     def compose(self, inner: EgfSeries) -> EgfSeries:
         """Substitute ``inner`` (which must vanish at 0) into this series.
@@ -224,10 +222,11 @@ class EgfSeries:
         return EgfSeries(_exp_recurrence(self._coeffs, operator.mul, Fraction(1)))
 
     def ln(self) -> EgfSeries:
-        """Logarithm; requires constant term one."""
+        """Logarithm, ``ln f = integral of f'/f``; requires constant term one."""
         if self._coeffs[0] != 1:
             raise ValueError("ln needs constant term one")
-        return EgfSeries(_ln_recurrence(self._coeffs, operator.mul, Fraction(0)))
+        c = self._coeffs
+        return EgfSeries([0] + _quotient(c[1:], c, operator.mul))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EgfSeries):
@@ -301,10 +300,11 @@ def classical_inverse(f: EgfSeries, order: int) -> EgfSeries:
     shifted = EgfSeries(f.coeffs[m + 1] / (m + 1) for m in range(order + 1))
     w = shifted.reciprocal()  # x/f, valid to `order`
     out = [Fraction(0)] * (order + 1)
-    power = EgfSeries.one(order)
+    power = w  # (x/f)^n from n = 1: no product with one
     for n in range(1, order + 1):
-        power = power * w
         out[n] = power[n - 1]
+        if n < order:
+            power = power * w
     return EgfSeries(out)
 
 

@@ -10,13 +10,14 @@ seed and sizes, which is enough to regenerate the instance exactly.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinat import bell_eval_bullet, set_partitions, stirling2
 from .diffop import DiffOp, _block, _chain, _check_op_list, _diamond_powers, power_diamond, unit_op
@@ -24,7 +25,7 @@ from .multipoly import MultiIndex, MultiPoly
 from .series import (
     EgfSeries,
     _exp_recurrence,
-    _ln_recurrence,
+    _quotient,
     classical_inverse,
     log_form_inverse,
     newton_inverse,
@@ -167,6 +168,11 @@ def _associator(x: DiffOp, y: DiffOp, z: DiffOp) -> DiffOp:
     return x.circ(y.circ(z)) - x.circ(y).circ(z)
 
 
+def _xd_normal_form(coeffs: Iterable[Fraction | int]) -> DiffOp:
+    # sum_k c_k x^k d^k in one variable; x*d itself is coeffs [0, 1]
+    return DiffOp(1, {(k,): MultiPoly(1, {(k,): c}) for k, c in enumerate(coeffs)})
+
+
 def verify_product_identities(spec: RandomSpec, trials: int) -> list[VerifyReport]:
     """The five product identities on fresh random operators per trial.
 
@@ -284,7 +290,7 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
     inner = [zero, op, *(p.circ(op) for p in powers[1:-1])][: z_order + 1]  # unit o op = op
     # exp and ln of operator-valued z-series under the bullet product
     exp_side = _exp_recurrence(inner, DiffOp.bullet, unit_op(op.n))
-    ln_side = _ln_recurrence(powers, DiffOp.bullet, zero)
+    ln_side = [zero] + _quotient(powers[1:], powers, DiffOp.bullet)
 
     z = range(z_order + 1)
     left = [(f"z^{m}", powers[m]) for m in z] + [(f"ln z^{m}", inner[m]) for m in z]
@@ -303,24 +309,17 @@ def verify_exp_identity_xd(z_order: int) -> VerifyReport:
     started = time.perf_counter()
     if z_order < 0:
         raise ValueError("z-order must be non-negative")
-    xd = DiffOp.single(MultiPoly.variable(1, 0), (1,))
-    powers = _diamond_powers(xd, z_order)
+    powers = _diamond_powers(_xd_normal_form([0, 1]), z_order)
 
     em1 = EgfSeries([0] + [1] * z_order)  # e^z - 1
-    rhs = [DiffOp.zero(1) for _ in range(z_order + 1)]
-    power = EgfSeries.one(z_order)
-    fact = 1
-    for i in range(z_order + 1):
-        if i > 0:
-            power = power * em1
-            fact *= i
-        for m in range(z_order + 1):
-            c = power[m] / fact
-            if c:
-                rhs[m] = rhs[m] + DiffOp(1, {(i,): MultiPoly(1, {(i,): c})})
+    em1_powers = [EgfSeries.one(z_order), em1][: z_order + 1]  # one * em1 is em1: no product
+    for _ in range(z_order - 1):
+        em1_powers.append(em1_powers[-1] * em1)
 
-    left = [(f"z^{m}", powers[m]) for m in range(z_order + 1)]
-    right = [(f"z^{m}", rhs[m]) for m in range(z_order + 1)]
+    z = range(z_order + 1)
+    weights = [[p[m] / math.factorial(i) for i, p in enumerate(em1_powers)] for m in z]
+    left = [(f"z^{m}", powers[m]) for m in z]
+    right = [(f"z^{m}", _xd_normal_form(weights[m])) for m in z]
     return _report("expid.xd", f"z_order={z_order}", left, right, started)
 
 
@@ -329,16 +328,8 @@ def verify_stirling_power(m: int, description: str = "") -> VerifyReport:
     started = time.perf_counter()
     if not 1 <= m <= STIRLING_POWER_CAP:
         raise ValueError(f"m must lie in 1..{STIRLING_POWER_CAP}, got {m}")
-    xd = DiffOp.single(MultiPoly.variable(1, 0), (1,))
-    lhs = power_diamond(xd, m)
-    rhs = DiffOp(
-        1,
-        {
-            (k,): MultiPoly(1, {(k,): stirling2(m, k)})
-            for k in range(m + 1)
-            if stirling2(m, k)
-        },
-    )
+    lhs = power_diamond(_xd_normal_form([0, 1]), m)
+    rhs = _xd_normal_form(stirling2(m, k) for k in range(m + 1))
     desc = f"{description} m={m}".strip()
     return _report("stirling", desc, lhs, rhs, started)
 

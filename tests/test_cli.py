@@ -263,6 +263,12 @@ class TestEnumerationCommands:
             "4^1": 1,
         }
 
+    def test_bell_over_cap_exits_2(self, capsys):
+        code, out, err = run(["bell", "41"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "integer partitions capped at m <= 40" in err
+
     def test_usage_error_exits_2(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code == 2

@@ -95,6 +95,14 @@ class TestSetPartitions:
         for blocks in [((1.0,), (2,)), ((True,), (2,)), (("1",), (2,)), ((1,), (2, 2.0))]:
             with pytest.raises(ValueError, match="indices must be integers"):
                 SetPartition(2, blocks)
+        # the ground set is 1..m for an int m >= 1, as set_partitions demands
+        for m, blocks in [(True, ((1,),)), (2.0, ((1,), (2,))), (0, ()), (-1, ())]:
+            with pytest.raises(ValueError, match="ground set size must be a positive integer"):
+                SetPartition(m, blocks)
+        with pytest.raises(ValueError, match="indices must be an iterable of labels"):
+            SetPartition(2, ((1,), 2))
+        with pytest.raises(ValueError, match="partition must be an iterable of blocks"):
+            SetPartition(2, 5)
 
     def test_rendering(self):
         assert str(SetPartition(3, ((2,), (1, 3)))) == "13-2"
@@ -116,20 +124,23 @@ class TestPartitionOperator:
         ]
 
     @pytest.mark.parametrize(
-        "partition",
+        "partition, match",
         [
-            [{1, 2}],  # misses 3
-            [{1, 2}, {2, 3}],  # overlap
-            [set(), {1, 2, 3}],  # empty block
-            [{1, 2, 3}, {4}],  # element outside 1..3
-            SetPartition(2, ((1, 2),)),  # partition of the wrong ground set
-            SetPartition(4, ((1, 2), (3, 4))),
-            [(1, 1), (2,), (3,)],  # repeated element inside a block
-            [(1.0,), (2,), (3,)],
+            ([{1, 2}], "do not cover"),  # misses 3
+            ([{1, 2}, {2, 3}], "not disjoint"),  # overlap
+            ([set(), {1, 2, 3}], "empty block"),
+            ([{1, 2, 3}, {4}], "do not cover"),  # element outside 1..3
+            (SetPartition(2, ((1, 2),)), "do not cover"),  # partition of the wrong ground set
+            (SetPartition(4, ((1, 2), (3, 4))), "do not cover"),
+            ([(1, 1), (2,), (3,)], "repeats an element"),  # repeated element inside a block
+            ([(1.0,), (2,), (3,)], "indices must be integers"),
+            ([{1, 2}, 3], "indices must be an iterable of labels"),  # a bare label as a block
+            (5, "partition must be an iterable of blocks"),
         ],
+        ids=[f"partition{i}" for i in range(10)],  # the ids of the one-parameter form
     )
-    def test_invalid_partition_rejected(self, partition):
-        with pytest.raises(ValueError):
+    def test_invalid_partition_rejected(self, partition, match):
+        with pytest.raises(ValueError, match=match):
             partition_operator(self.ops(), partition)
 
 
@@ -150,6 +161,11 @@ class TestIntegerPartitions:
         for p in integer_partitions(7):
             assert sum((i + 1) * l for i, l in enumerate(p.multiplicities)) == 7
             assert p.length == sum(p.multiplicities)
+
+    def test_cap_refused_before_enumerating(self):
+        assert len(integer_partitions(40)) == 37338
+        with pytest.raises(ValueError, match="integer partitions capped at m <= 40, got 41"):
+            integer_partitions(41)
 
     def test_inconsistent_multiplicities_rejected(self):
         with pytest.raises(ValueError):

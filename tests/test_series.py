@@ -149,6 +149,14 @@ class TestDerivativeReciprocal:
         assert list((fprime * recip).coeffs) == egf_mul_oracle(fprime.coeffs, recip.coeffs)
         assert fprime * recip == EgfSeries.one(8)
 
+    @pytest.mark.parametrize("a0", [2, -1, Fraction(1, 2), -2])
+    def test_reciprocal_with_constant_term_other_than_one(self, a0):
+        f = EgfSeries([a0, 1, -2, Fraction(1, 2), 0, 3])
+        recip = f.reciprocal()
+        assert recip[0] == 1 / Fraction(a0)
+        assert list((f * recip).coeffs) == egf_mul_oracle(f.coeffs, recip.coeffs)
+        assert f * recip == EgfSeries.one(5)
+
     def test_reciprocal_needs_constant(self):
         with pytest.raises(ValueError):
             EgfSeries([0, 1]).reciprocal()

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from opseries import (
     MultiPoly,
     RandomSpec,
     bell_eval_bullet,
+    classical_inverse,
     power_diamond,
     random_invertible_series,
     random_op_list,
@@ -93,6 +95,28 @@ class TestChecksRunOnce:
         second_order = DiffOp(1, {(2,): MultiPoly.const(1, 1)})
         with pytest.raises(ValueError, match="operator must be first order"):
             verify_bell_power(second_order, 4)
+        with pytest.raises(ValueError, match="integer partitions capped at m <= 40"):
+            verify_bell_power(random_vector_field(RandomSpec(seed=2)), 41)
+
+
+class TestOneTriangularSolve:
+    """reciprocal and both logarithms divide through one private solve, series._quotient."""
+
+    @pytest.mark.parametrize(
+        "divide",
+        [
+            lambda: EgfSeries([2, 1, -1, 3]).reciprocal(),
+            lambda: EgfSeries([1, 1, -1, 3]).ln(),
+            lambda: verify_exp_identity(random_vector_field(RandomSpec(seed=9)), 4),
+        ],
+        ids=["reciprocal", "ln", "exp_identity"],
+    )
+    def test_each_division_solves_once(self, monkeypatch, divide):
+        calls = count_calls(monkeypatch, series_module, "_quotient")
+        # verify imported the solve by name: point its reference at the counter too
+        monkeypatch.setattr(verify_module, "_quotient", series_module._quotient)
+        divide()
+        assert len(calls) == 1
 
 
 class TestRandomGenerators:
@@ -214,6 +238,25 @@ class TestSuites:
         op = random_vector_field(RandomSpec(seed=9))
         forbid_unit_operands(monkeypatch, 2)
         assert check(op)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: classical_inverse(EgfSeries([0, 2, -1, 1, 0, 3, 1]), 5)[1] == Fraction(1, 2),
+            lambda: verify_exp_identity_xd(5).passed,
+        ],
+        ids=["classical_inverse", "exp_identity_xd"],
+    )
+    def test_no_series_product_takes_a_unit_operand(self, monkeypatch, check):
+        original = EgfSeries.__mul__
+
+        def guarded(x, y):
+            for s in (x, y):
+                assert not isinstance(s, EgfSeries) or s != EgfSeries.one(s.order)
+            return original(x, y)
+
+        monkeypatch.setattr(EgfSeries, "__mul__", guarded)
+        assert check()
 
     @pytest.mark.parametrize("m, diamonds, circs", [(5, 12, 26), (6, 27, 57)])
     def test_partition_expansion_composes_only_the_chains_it_reads(
