@@ -10,6 +10,9 @@ code before ``MultiPoly`` moved to integer numerators over one shared
 denominator.  The ``inversion --order 24`` and ``invert --order 16`` cases
 pin ``compose`` and ``newton_inverse`` at sizes where they do real work;
 they were recorded from the code before both moved to one power table.
+The ``compos --m 7`` case (877 summands) was recorded from the code that
+still formed one bullet product chain per set partition, before the sum
+moved to a subset recursion.
 """
 
 import hashlib
@@ -42,6 +45,8 @@ GOLDEN = [
      "9b7f6b588c938f50bd08ff286a0b3fbe5c781c0311308cca30965ecf13f8050f"),
     (["verify", "compos", "--m", "6", "--seed", "1", "--format", "json"],
      "11b312a8c054900fe261a6874422c5b9cbe4fb7a675bb701082eda86c6f11b83"),
+    (["verify", "compos", "--m", "7", "--seed", "2", "--format", "json"],
+     "d295f3115fcfcee38f3ee574f4e477dfae0b45c9a115fab7bca7d61ef0531bd5"),
     (["verify", "prop1", "--trials", "3", "--n", "3", "--degree", "3", "--seed", "7",
       "--format", "json"],
      "9bf36ca2c01ed35c3f83b74a8d4867161816d21053b68ffb3d38359ed58496e4"),
