@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .diffop import DiffOp, _block, _check_indices, _check_op_list, _diamond_powers, unit_op
@@ -24,6 +25,8 @@ from .multipoly import _join_signed
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
 MAX_INT_PARTITION_SIZE = 40  # p(40) = 37,338; p(100) = 190,569,292 is out of reach
+# bullet products one bell_eval_bullet may form: 1,232 at m=16 (about 16 s), 1,668 at m=17
+MAX_BELL_BULLETS = 1500
 
 
 @dataclass(frozen=True)
@@ -219,6 +222,10 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     if m == 0:
         return unit_op(n)
     terms = bell_polynomial(m).terms  # enforces the size cap before any product
+    bullets = sum(part.length - 1 for part in terms)  # one chain of products per monomial
+    if bullets > MAX_BELL_BULLETS:
+        msg = f"degree {m} needs {bullets} bullet products, over the bound of {MAX_BELL_BULLETS}"
+        raise ValueError(msg)
     generators = [op] + [p.circ(op) for p in _diamond_powers(op, m - 1)[1:]]  # op^{i-1} o op
     total = DiffOp.zero(n)
     for part, count in terms.items():
@@ -240,6 +247,34 @@ def partition_operator(
     _check_op_list(ops)
     part = SetPartition(len(ops), getattr(partition, "blocks", partition))
     return reduce(DiffOp.bullet, (_block(ops, block, {}) for block in part.blocks))
+
+
+def _memo_block(
+    ops: Sequence[DiffOp], picked: tuple[int, ...], chains: dict, blocks: dict
+) -> DiffOp:
+    # the block operator of a sorted index tuple, built once per tuple
+    if picked not in blocks:
+        blocks[picked] = _block(ops, picked, chains)
+    return blocks[picked]
+
+
+def _partition_sum(
+    ops: Sequence[DiffOp], subset: tuple[int, ...], chains: dict, blocks: dict, sums: dict
+) -> DiffOp:
+    # sum over the set partitions of a sorted index tuple S of the bullet product of their
+    # block operators, peeling the block B that holds min(S) (the exponential formula):
+    # P(S) = block(S) + sum over B != S of block(B) . P(S \ B); blocks and sums keep each
+    # block and each P once, so every subset of 2..m is summed once for all its supersets
+    if subset not in sums:
+        head, rest = subset[0], subset[1:]
+        total = _memo_block(ops, subset, chains, blocks)
+        for size in range(len(rest)):  # a proper tail of B leaves S \ B non-empty
+            for tail in combinations(rest, size):
+                others = tuple(i for i in rest if i not in tail)
+                block = _memo_block(ops, (head, *tail), chains, blocks)
+                total = total + block.bullet(_partition_sum(ops, others, chains, blocks, sums))
+        sums[subset] = total
+    return sums[subset]
 
 
 def stirling2(m: int, k: int) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from opseries import EgfSeries, from_json_dict
+from opseries import DiffOp, EgfSeries, from_json_dict
 from opseries.cli import main
 
 XEMX = ",".join(str((-1) ** (m - 1) * m) for m in range(1, 8))  # x e^{-x} to order 7
@@ -207,6 +207,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert contract in err
+
+    def test_bellpower_over_its_product_bound_exits_2_before_any_product(
+        self, monkeypatch, capsys
+    ):
+        for name in ("diamond", "circ", "bullet"):
+            monkeypatch.setattr(DiffOp, name, lambda x, y: pytest.fail("product formed"))
+        code, out, err = run(["verify", "bellpower", "--m", "17"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "1668 bullet products, over the bound of 1500" in err
 
     def test_unknown_theorem_exits_2(self, capsys):
         code, _, _ = run(["verify", "prop99"], capsys)

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from functools import reduce
 
 import pytest
 
@@ -9,6 +10,7 @@ from opseries import (
     DiffOp,
     IntPartition,
     MultiPoly,
+    RandomSpec,
     SetPartition,
     bell_eval_bullet,
     bell_polynomial,
@@ -16,10 +18,13 @@ from opseries import (
     partition_class_count,
     partition_operator,
     power_diamond,
+    random_op_list,
+    random_vector_field,
     set_partitions,
     stirling2,
     unit_op,
 )
+from opseries.combinat import MAX_BELL_BULLETS, _partition_sum
 
 
 def bell_oracle(n):
@@ -142,6 +147,18 @@ class TestPartitionOperator:
     def test_invalid_partition_rejected(self, partition, match):
         with pytest.raises(ValueError, match=match):
             partition_operator(self.ops(), partition)
+
+
+class TestPartitionSum:
+    """The subset recursion equals the paper's sum over every set partition."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_equals_the_sum_over_set_partitions(self, m, seed):
+        ops = random_op_list(RandomSpec(seed=seed), m)
+        terms = [partition_operator(ops, part) for part in set_partitions(m)]
+        expected = reduce(DiffOp.__add__, terms)
+        assert _partition_sum(ops, tuple(range(1, m + 1)), {}, {}, {}) == expected
 
 
 class TestIntegerPartitions:
@@ -284,3 +301,27 @@ class TestBellEvalBullet:
         monkeypatch.setattr(DiffOp, "bullet", guarded)
         field = self.generic_field()
         assert bell_eval_bullet(4, field) == power_diamond(field, 4)
+
+    @pytest.mark.parametrize("m, bullets", [(12, 322), (16, 1232), (17, 1668), (20, 4003)])
+    def test_predicted_bullets_bound_the_degree(self, monkeypatch, m, bullets):
+        # one chain of parts - 1 bullets per integer partition; 16 is the largest degree
+        # admitted, and a refused degree forms no product at all
+        assert sum(p.length - 1 for p in integer_partitions(m)) == bullets
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(x, y):
+            raise Admitted
+
+        for name in ("diamond", "circ", "bullet"):
+            monkeypatch.setattr(DiffOp, name, admitted)
+        field = random_vector_field(RandomSpec(seed=2))
+        if bullets <= MAX_BELL_BULLETS:
+            assert m <= 16
+            with pytest.raises(Admitted):
+                bell_eval_bullet(m, field)
+        else:
+            assert m >= 17
+            with pytest.raises(ValueError, match=f"needs {bullets} bullet products"):
+                bell_eval_bullet(m, field)

@@ -276,6 +276,23 @@ class TestSuites:
         assert verify_partition_expansion(random_op_list(RandomSpec(seed=9), m)).passed
         assert calls == {"diamond": diamonds, "circ": circs}
 
+    @pytest.mark.parametrize("m, products", [(5, 40), (6, 121)])
+    def test_partition_expansion_sums_by_the_subset_recursion(self, monkeypatch, m, products):
+        # (3^(m-1) - 1)/2 bullets, each added once onto the sum that starts at block(S);
+        # one bullet chain per set partition would take 99 and 471
+        calls = Counter()
+        for name in ("bullet", "__add__"):
+            original = getattr(DiffOp, name)
+
+            def counted(x, y, name=name, original=original):
+                calls[name] += 1
+                return original(x, y)
+
+            monkeypatch.setattr(DiffOp, name, counted)
+        assert verify_partition_expansion(random_op_list(RandomSpec(seed=9), m)).passed
+        assert products == (3 ** (m - 1) - 1) // 2
+        assert calls == {"bullet": products, "__add__": products}
+
     def test_partition_expansion_rejects_higher_order(self):
         bad = DiffOp(2, {(1, 1): MultiPoly.const(2, 1)})
         with pytest.raises(ValueError):
