@@ -302,26 +302,28 @@ class TestBellEvalBullet:
         field = self.generic_field()
         assert bell_eval_bullet(4, field) == power_diamond(field, 4)
 
-    @pytest.mark.parametrize("m, bullets", [(12, 322), (16, 1232), (17, 1668), (20, 4003)])
-    def test_predicted_bullets_bound_the_degree(self, monkeypatch, m, bullets):
-        # one chain of parts - 1 bullets per integer partition; 16 is the largest degree
-        # admitted, and a refused degree forms no product at all
+    @pytest.mark.parametrize(
+        "m, bullets, admitted", [(12, 322, True), (16, 1232, True), (17, 1668, False),
+                                 (20, 4003, False)]
+    )
+    def test_predicted_bullets_bound_the_degree(self, monkeypatch, m, bullets, admitted):
+        # one chain of parts - 1 bullets per integer partition; a refused degree forms
+        # no product at all, an admitted one gets as far as its first product
         assert sum(p.length - 1 for p in integer_partitions(m)) == bullets
+        assert (bullets <= MAX_BELL_BULLETS) == admitted
 
-        class Admitted(Exception):
+        class FirstProduct(Exception):
             pass
 
-        def admitted(x, y):
-            raise Admitted
+        def first_product(x, y):
+            raise FirstProduct
 
         for name in ("diamond", "circ", "bullet"):
-            monkeypatch.setattr(DiffOp, name, admitted)
+            monkeypatch.setattr(DiffOp, name, first_product)
         field = random_vector_field(RandomSpec(seed=2))
-        if bullets <= MAX_BELL_BULLETS:
-            assert m <= 16
-            with pytest.raises(Admitted):
+        if admitted:
+            with pytest.raises(FirstProduct):
                 bell_eval_bullet(m, field)
         else:
-            assert m >= 17
             with pytest.raises(ValueError, match=f"needs {bullets} bullet products"):
                 bell_eval_bullet(m, field)
