@@ -7,6 +7,7 @@ from functools import reduce
 import pytest
 
 from opseries import (
+    BellPoly,
     DiffOp,
     IntPartition,
     MultiPoly,
@@ -190,6 +191,9 @@ class TestIntegerPartitions:
 
     def test_rendering(self):
         assert str(IntPartition(4, (2, 1, 0, 0))) == "1^2 2^1"
+        # a Bell term with a count and an exponent
+        assert str(BellPoly(4, {IntPartition(4, (2, 1, 0, 0)): 6})) == "6*x1^2*x2"
+        assert str(BellPoly(6, {IntPartition(6, (0, 3, 0, 0, 0, 0)): 15})) == "15*x2^3"
 
 
 class TestClassCounts:

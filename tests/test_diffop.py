@@ -151,6 +151,15 @@ class TestProducts:
         assert str(op) == "x1^2*d1^2 + x1*d1"
         assert str(unit_op(2)) == "1"
         assert str(DiffOp.zero(1)) == "0"
+        x1 = MultiPoly.variable(1, 0)
+        assert str(DiffOp.single(-x1, (1,))) == "-x1*d1"
+        assert str(DiffOp(1, {(2,): Fraction(1, 2)})) == "1/2*d1^2"
+        assert str(DiffOp(1, {(0,): -1})) == "-1"
+        assert str(DiffOp.single(x1 + MultiPoly.const(1, 1), (1,))) == "(x1 + 1)*d1"
+        # a multi-term coefficient is parenthesised and never signed as a whole
+        two = MultiPoly(2, {(1, 0): -1, (0, 0): -2})
+        op = DiffOp(2, {(0, 1): two, (0, 0): two, (1, 1): Fraction(-3, 4)})
+        assert str(op) == "-3/4*d1*d2 + (-x1 - 2)*d2 + (-x1 - 2)"
 
 
 class TestProductProperties:

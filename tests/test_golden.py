@@ -12,7 +12,11 @@ pin ``compose`` and ``newton_inverse`` at sizes where they do real work;
 they were recorded from the code before both moved to one power table.
 The ``compos --m 7`` case (877 summands) was recorded from the code that
 still formed one bullet product chain per set partition, before the sum
-moved to a subset recursion.
+moved to a subset recursion.  The ``bell 6 --format json`` case and the
+text-mode ``invert --method newton`` cases (fractional coefficients, and
+with ``NEG_MIXED`` alternating signs, on the ``inverse:`` line) were
+recorded from the code before the term renderers of ``MultiPoly``,
+``DiffOp``, ``EgfSeries`` and ``BellPoly`` were reduced to one.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ INVERT = ["invert", "--order", "6", "--coeffs", "0," + XEMX]
 OGF = ["invert", "--order", "5", "--coeffs", "0,1,1,0,0,0,0", "--convention", "ogf"]
 VERIFY = ["--seed", "7", "--format", "json"]
 MIXED = "0,1,-2,0,1/2,2,-1,0,1,1/2,-2,0,2,-1,1,0,1/2,-1"  # zeros, +-1, +-2, 1/2; order 17
+NEG_MIXED = "0,-1,2,0,-1/2,-2,1,0,-1,-1/2,2,0,-2,1,-1,0,-1/2,1"  # -f: inverse b_n (-1)^n
 
 GOLDEN = [
     (INVERT + ["--method", "all", "--format", "json"],
@@ -35,6 +40,10 @@ GOLDEN = [
      "2b5b9b82a9c3b8ac294e22320c4dad3eb41f0e4c5f4ccd5999663a905f591645"),
     (["invert", "--order", "16", "--coeffs", MIXED, "--method", "all", "--format", "json"],
      "e6e2f1264f621c543c28d026dbffcc952a86dfc729ff365450896e11ed27b486"),
+    (["invert", "--method", "newton", "--order", "16", "--coeffs", MIXED],
+     "14bbb65f37094ce29bc58477f977cee64da1873e23448e2e883f37ff8541bdac"),
+    (["invert", "--method", "newton", "--order", "16", "--coeffs", NEG_MIXED],
+     "a64ba26d11e5aa7fd710d0389c643d6cda9d4c7a64a3a246fd99d12e12c84159"),
     (INVERT + ["--method", "log"],
      "22e759c1ea6678e5d4a99d728e10ff8451077f828ffc48d62be08d3fabbdd7c8"),
     (["verify", "prop1"] + VERIFY,
@@ -64,6 +73,8 @@ GOLDEN = [
      "8831d6b0e99c155bb844f6e8b923b67329040023c4c66b34efa737987e70de6a"),
     (["bell", "4"],
      "055e329d962b769b8de8ad5280f77b8f6989d7d6061958d9b4d54b939bce147a"),
+    (["bell", "6", "--format", "json"],
+     "f8a01c98f1d612bde0ee1e57b874eb8c65cfc41c39486395401dd45bb8600e8a"),
 ]
 
 

@@ -106,6 +106,10 @@ class TestExamples:
         assert str(p) == "-x1^2 + 1"
         q = MultiPoly(2, {(2, 0): Fraction(3, 2), (1, 1): 1, (0, 0): Fraction(-7, 3)})
         assert str(q) == "3/2*x1^2 + x1*x2 - 7/3"
+        assert str(MultiPoly.const(1, -1)) == "-1"
+        assert str(MultiPoly(3, {(0, 2, 1): -1, (1, 0, 0): Fraction(-1, 2)})) == (
+            "-x2^2*x3 - 1/2*x1"
+        )
 
     def test_coefficients_stay_reduced(self):
         # the scalar field keeps gcd-reduced values with positive denominators

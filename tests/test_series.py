@@ -418,3 +418,5 @@ class TestRendering:
         assert str(EgfSeries([0, 1, 2])) == "x + 2 x^2/2!"
         assert str(EgfSeries.zero(3)) == "0"
         assert str(EgfSeries([Fraction(1, 2), -1, 0, 6])) == "1/2 - x + 6 x^3/3!"
+        assert str(EgfSeries([0, -1, Fraction(-1, 2)])) == "-x - 1/2 x^2/2!"
+        assert str(EgfSeries([-1, 1, -1])) == "-1 + x - x^2/2!"
