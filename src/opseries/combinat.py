@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .diffop import DiffOp, _block, _check_indices, _check_op_list, _diamond_powers, unit_op
-from .multipoly import _join_signed
+from .multipoly import _graded_lex, _join_signed, _monomial_str, _term
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
 MAX_INT_PARTITION_SIZE = 40  # p(40) = 37,338; p(100) = 190,569,292 is out of reach
@@ -180,26 +180,17 @@ class BellPoly:
     terms: dict[IntPartition, int] = field(default_factory=dict)
 
     def items(self) -> list[tuple[IntPartition, int]]:
-        """Terms sorted by descending part count, then multiplicity vector."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0].length, kv[0].multiplicities),
-            reverse=True,
-        )
+        """Terms in the graded-lex order of their multiplicity vectors (part count first)."""
+        ordered = _graded_lex((p.multiplicities, p) for p in self.terms)
+        return [(p, self.terms[p]) for _, p in ordered]
 
     def coefficient_sum(self) -> int:
         return sum(self.terms.values())
 
     def __str__(self) -> str:
-        parts = []
-        for part, count in self.items():
-            mono = "*".join(
-                f"x{i + 1}" if l == 1 else f"x{i + 1}^{l}"
-                for i, l in enumerate(part.multiplicities)
-                if l > 0
-            )
-            parts.append((False, mono if count == 1 else f"{count}*{mono}"))
-        return _join_signed(parts)
+        return _join_signed(
+            [_term(count, _monomial_str(part.multiplicities)) for part, count in self.items()]
+        )
 
 
 def bell_polynomial(m: int) -> BellPoly:

@@ -37,22 +37,14 @@ from .multipoly import (
     Scalar,
     _check_index,
     _check_same_n,
+    _graded_lex,
     _is_scalar,
     _join_signed,
     _monomial_str,
+    _term,
     index_binomial,
     sub_indices,
 )
-
-
-def _derivative_str(beta: MultiIndex) -> str:
-    factors = []
-    for i, e in enumerate(beta):
-        if e == 1:
-            factors.append(f"d{i + 1}")
-        elif e > 1:
-            factors.append(f"d{i + 1}^{e}")
-    return "*".join(factors)
 
 
 class DiffOp:
@@ -111,7 +103,7 @@ class DiffOp:
 
     def items(self) -> list[tuple[MultiIndex, MultiPoly]]:
         """Terms sorted by descending derivative order, then graded-lex."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return _graded_lex(self._terms.items())
 
     def coefficient(self, beta: MultiIndex) -> MultiPoly:
         return self._terms.get(tuple(beta), MultiPoly.zero(self._n))
@@ -206,24 +198,17 @@ class DiffOp:
         return hash((self._n, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
+        # a one-term coefficient c*x^alpha merges into its term; a longer one
+        # is a parenthesised factor with scalar one, so it carries no sign
         parts = []
         for beta, u in self.items():
-            dpart = _derivative_str(beta)
-            terms = u.items()
-            if len(terms) == 1:
-                alpha, c = terms[0]
+            if len(terms := u.items()) == 1:
+                ((alpha, c),) = terms
                 mono = _monomial_str(alpha)
-                factors = []
-                if abs(c) != 1 or (not mono and not dpart):
-                    factors.append(str(abs(c)))
-                if mono:
-                    factors.append(mono)
-                if dpart:
-                    factors.append(dpart)
-                parts.append((c < 0, "*".join(factors)))
             else:
-                body = f"({u})*{dpart}" if dpart else f"({u})"
-                parts.append((False, body))
+                c, mono = 1, f"({u})"
+            dpart = _monomial_str(beta, "d")
+            parts.append(_term(c, f"{mono}*{dpart}" if mono and dpart else mono or dpart))
         return _join_signed(parts)
 
     def __repr__(self) -> str:

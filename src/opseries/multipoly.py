@@ -50,25 +50,38 @@ def _scaled(nums: Mapping[MultiIndex, int], k: int) -> dict[MultiIndex, int]:
     return dict(nums) if k == 1 else {a: c * k for a, c in nums.items()}
 
 
-def _join_signed(parts: Iterable[tuple[bool, str]]) -> str:
-    # parts: (is_negative, body) in display order
-    out: list[str] = []
-    for negative, body in parts:
-        if not out:
-            out.append("-" + body if negative else body)
-        else:
-            out.append((" - " if negative else " + ") + body)
-    return "".join(out) if out else "0"
+# the one term format: MultiPoly, DiffOp, EgfSeries and BellPoly list their terms
+# in _graded_lex order, build each through _term and join them with _join_signed
+def _graded_lex(terms: Iterable[tuple[MultiIndex, object]]) -> list:
+    # (multi-index, value) pairs in descending graded-lexicographic order
+    return sorted(terms, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
 
-def _monomial_str(alpha: MultiIndex) -> str:
+def _monomial_str(alpha: MultiIndex, letter: str = "x") -> str:
+    # x1^2*x3 for (2, 0, 1); letter "d" renders a derivative multi-index
     factors = []
-    for i, e in enumerate(alpha):
+    for i, e in enumerate(alpha, 1):
         if e == 1:
-            factors.append(f"x{i + 1}")
+            factors.append(f"{letter}{i}")
         elif e > 1:
-            factors.append(f"x{i + 1}^{e}")
+            factors.append(f"{letter}{i}^{e}")
     return "*".join(factors)
+
+
+def _term(c: Scalar, factors: str, sep: str = "*") -> tuple[bool, str]:
+    # (is_negative, body) of c times factors: |c| is shown unless it is 1 and a factor follows
+    mag = abs(c)
+    if not factors:
+        return c < 0, str(mag)
+    return c < 0, factors if mag == 1 else f"{mag}{sep}{factors}"
+
+
+def _join_signed(parts: Iterable[tuple[bool, str]]) -> str:
+    # parts: (is_negative, body) in display order; the first " + " or " - " becomes "" or "-"
+    out = "".join([(" - " if negative else " + ") + body for negative, body in parts])
+    if not out:
+        return "0"
+    return "-" + out[3:] if out[1] == "-" else out[3:]
 
 
 def _scalar(c: object) -> Fraction:
@@ -170,11 +183,7 @@ class MultiPoly:
     def items(self) -> list[tuple[MultiIndex, Fraction]]:
         """Terms in descending graded-lexicographic order (canonical)."""
         den = self._den
-        return sorted(
-            ((a, Fraction(c, den)) for a, c in self._nums.items()),
-            key=lambda kv: (sum(kv[0]), kv[0]),
-            reverse=True,
-        )
+        return _graded_lex((a, Fraction(c, den)) for a, c in self._nums.items())
 
     def coefficient(self, alpha: MultiIndex) -> Fraction:
         return Fraction(self._nums.get(tuple(alpha), 0), self._den)
@@ -255,18 +264,7 @@ class MultiPoly:
         return hash((self._n, self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
-        parts = []
-        for alpha, c in self.items():
-            mono = _monomial_str(alpha)
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            parts.append((c < 0, body))
-        return _join_signed(parts)
+        return _join_signed([_term(c, _monomial_str(a)) for a, c in self.items()])
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._n}, {self})"

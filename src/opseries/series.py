@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .multipoly import Scalar, _is_scalar, _join_signed, _scalar
+from .multipoly import Scalar, _is_scalar, _join_signed, _scalar, _term
 
 T = TypeVar("T")
 
@@ -237,20 +237,11 @@ class EgfSeries:
         return hash(self._coeffs)
 
     def __str__(self) -> str:
-        parts = []
-        for m, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if m == 0:
-                body = str(mag)
-            elif m == 1:
-                body = "x" if mag == 1 else f"{mag} x"
-            else:
-                power = f"x^{m}/{m}!"
-                body = power if mag == 1 else f"{mag} {power}"
-            parts.append((c < 0, body))
-        return _join_signed(parts)
+        return _join_signed([
+            _term(c, f"x^{m}/{m}!" if m > 1 else "x" if m else "", " ")
+            for m, c in enumerate(self._coeffs)
+            if c
+        ])
 
     def __repr__(self) -> str:
         return f"EgfSeries([{', '.join(str(c) for c in self._coeffs)}])"

@@ -10,11 +10,14 @@ seed and sizes, which is enough to regenerate the instance exactly.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling2
@@ -109,12 +112,14 @@ def _trials(
         yield random.Random(_trial_seed(spec.seed, t)), desc
 
 
-def _indices_up_to(n: int, bound: int) -> list[MultiIndex]:
+@functools.lru_cache(maxsize=2)  # a suite run reads two bounds: degree and derivative order
+def _indices_up_to(n: int, bound: int) -> tuple[MultiIndex, ...]:
     # the n-tuples with sum <= bound in the order of product(range(bound + 1), repeat=n),
-    # which rng.sample reads, without enumerating that product's (bound + 1)^n tuples
-    if n == 0:
-        return [()]
-    return [(e, *rest) for e in range(bound + 1) for rest in _indices_up_to(n - 1, bound - e)]
+    # which rng.sample reads: the successive differences of the non-decreasing n-tuples
+    # over 0..bound, in the same lexicographic order.  Every polynomial drawn samples
+    # it, so it is built once per (n, bound) and shared, hence a tuple.
+    return tuple(tuple(map(operator.sub, d, (0, *d[:-1])))
+                 for d in combinations_with_replacement(range(bound + 1), n))
 
 
 def _poly_from_rng(rng: random.Random, spec: RandomSpec) -> MultiPoly:

@@ -149,11 +149,20 @@ class TestRandomGenerators:
         for n in range(1, 6):
             for bound in range(5):
                 expected = [t for t in product(range(bound + 1), repeat=n) if sum(t) <= bound]
-                assert _indices_up_to(n, bound) == expected
+                assert list(_indices_up_to(n, bound)) == expected
 
     def test_indices_up_to_does_not_enumerate_the_full_product(self):
         # filtering product(range(3), repeat=20) would visit 3^20 tuples
         assert len(_indices_up_to(20, 2)) == 231
+
+    def test_indices_are_enumerated_once_per_bound(self):
+        # every polynomial drawn samples the same list, so a suite run builds it
+        # once for the coefficient degree and once for the derivative order
+        _indices_up_to.cache_clear()
+        run_suite("prop1", seed=1, trials=3, n=3, degree=3)
+        info = _indices_up_to.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.hits > 20
 
     def test_spec_has_only_the_knobs_the_generators_read(self):
         assert [f.name for f in dataclasses.fields(RandomSpec)] == ["seed", "n", "max_degree"]
