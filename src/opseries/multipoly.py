@@ -10,6 +10,17 @@ run on plain ints (the idea behind Bareiss's fraction-free elimination,
 Math. Comp. 1968): each result is reduced once, by one gcd, instead of
 once per coefficient operation.
 
+Each exponent vector is packed into one int key: entry ``i`` occupies the
+``W``-bit field starting at bit ``W*i`` (the packed-exponent idea of
+Monagan and Pearce, CASC 2007).  The top bit of every field is a guard,
+so every stored exponent is below ``2**(W-1)`` (``2**31``).  A monomial
+product is then one int add, which no carry can leave its field, and the
+guard bits of the result show any exponent that reached the bound: the
+product is refused with a ``ValueError``, never wrapped into the next
+variable.  ``partial`` tests divisibility for all variables at once with
+one subtraction whose borrows land in the guard bits.  Exponent vectors
+are tuples outside this module; only the storage is packed.
+
 Rationals appear only at the boundary.  The public constructor takes
 ints, ``Fraction``s and ``"p/q"`` strings; ``items()``, ``coefficient()``
 and ``constant_term()`` hand back reduced ``fractions.Fraction`` values,
@@ -19,8 +30,9 @@ equality tests.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
+import struct
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping
@@ -28,9 +40,38 @@ from typing import Iterable, Iterator, Mapping
 MultiIndex = tuple[int, ...]
 Scalar = Fraction | int
 
+W = 32  # bits per packed exponent field, guard bit included
+_BOUND = 1 << (W - 1)  # every stored exponent is below this
 
-def index_add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(map(operator.add, alpha, beta))
+
+@functools.cache
+def _guard(n: int) -> int:
+    # the guard (top) bit of each of the n fields
+    return sum(_BOUND << (W * i) for i in range(n))
+
+
+@functools.cache
+def _fields(n: int) -> struct.Struct:
+    # n unsigned W-bit ("I") fields, little-endian: field i is bits W*i to W*i + W - 1
+    return struct.Struct(f"<{n}I")
+
+
+def _pack(alpha: MultiIndex) -> int:
+    # alpha must hold entries below _BOUND (see _check_exponents)
+    return int.from_bytes(_fields(len(alpha)).pack(*alpha), "little")
+
+
+def _unpack(key: int, n: int) -> MultiIndex:
+    fields = _fields(n)
+    return fields.unpack(key.to_bytes(fields.size, "little"))
+
+
+def _check_exponents(alpha: Iterable[int], n: int, what: str) -> MultiIndex:
+    """``_check_index``, plus every entry below the packed field bound ``2**31``."""
+    alpha = _check_index(alpha, n, what)
+    if max(alpha) >= _BOUND:
+        raise ValueError(f"bad {what} {alpha}: every entry must be below 2**{W - 1}")
+    return alpha
 
 
 def index_binomial(alpha: MultiIndex, gamma: MultiIndex) -> int:
@@ -46,7 +87,7 @@ def sub_indices(alpha: MultiIndex) -> Iterator[MultiIndex]:
     return product(*(range(a + 1) for a in alpha))
 
 
-def _scaled(nums: Mapping[MultiIndex, int], k: int) -> dict[MultiIndex, int]:
+def _scaled(nums: Mapping[int, int], k: int) -> dict[int, int]:
     return dict(nums) if k == 1 else {a: c * k for a, c in nums.items()}
 
 
@@ -121,11 +162,11 @@ def _check_same_n(n: int, other: int) -> None:
 class MultiPoly:
     """Immutable sparse polynomial with rational coefficients.
 
-    Stored as integer numerators ``_nums`` over one shared positive
-    denominator ``_den``, reduced so that ``gcd(_den, *_nums) == 1``; no
-    ``Fraction`` is held.  The variable count ``n`` is fixed per instance
-    and checked on every binary operation; there is no implicit promotion
-    between rings.
+    Stored as integer numerators ``_nums``, keyed by packed exponent
+    vectors, over one shared positive denominator ``_den``, reduced so that
+    ``gcd(_den, *_nums) == 1``; no ``Fraction`` is held.  The variable
+    count ``n`` is fixed per instance and checked on every binary
+    operation; there is no implicit promotion between rings.
     """
 
     __slots__ = ("_n", "_nums", "_den")
@@ -133,12 +174,12 @@ class MultiPoly:
     def __init__(self, n: int, terms: Mapping[MultiIndex, Scalar | str] | None = None):
         if n < 1:
             raise ValueError(f"variable count must be positive, got {n}")
-        coeffs: dict[MultiIndex, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         for alpha, c in (terms or {}).items():
-            alpha = _check_index(alpha, n, "exponent vector")
+            key = _pack(_check_exponents(alpha, n, "exponent vector"))
             c = _scalar(c)
             if c:
-                coeffs[alpha] = c
+                coeffs[key] = c
         # the lcm of reduced denominators leaves gcd(den, *nums) == 1 already
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         self._n = n
@@ -146,14 +187,16 @@ class MultiPoly:
         self._den = den
 
     @classmethod
-    def _reduced(cls, n: int, nums: dict[MultiIndex, int], den: int) -> MultiPoly:
+    def _reduced(cls, n: int, nums: dict[int, int], den: int) -> MultiPoly:
         # the one normalisation of every computed result: drop zero numerators,
         # divide out the common gcd, and skip the public constructor's checks
-        nums = {a: c for a, c in nums.items() if c}
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            nums = {a: c // g for a, c in nums.items()}
-            den //= g
+        if 0 in nums.values():
+            nums = {a: c for a, c in nums.items() if c}
+        if den != 1:  # over den 1 the gcd is 1 already
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {a: c // g for a, c in nums.items()}
+                den //= g
         out = object.__new__(cls)
         out._n = n
         out._nums = nums
@@ -182,11 +225,12 @@ class MultiPoly:
 
     def items(self) -> list[tuple[MultiIndex, Fraction]]:
         """Terms in descending graded-lexicographic order (canonical)."""
-        den = self._den
-        return _graded_lex((a, Fraction(c, den)) for a, c in self._nums.items())
+        n, den = self._n, self._den
+        return _graded_lex((_unpack(a, n), Fraction(c, den)) for a, c in self._nums.items())
 
     def coefficient(self, alpha: MultiIndex) -> Fraction:
-        return Fraction(self._nums.get(tuple(alpha), 0), self._den)
+        key = _pack(_check_exponents(alpha, self._n, "exponent vector"))
+        return Fraction(self._nums.get(key, 0), self._den)
 
     def constant_term(self) -> Fraction:
         """The value at the origin, i.e. the coefficient of x^0."""
@@ -197,7 +241,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Maximum total degree of any term; -1 for the zero polynomial."""
-        return max((sum(a) for a in self._nums), default=-1)
+        return max((sum(_unpack(a, self._n)) for a in self._nums), default=-1)
 
     def __add__(self, other: MultiPoly) -> MultiPoly:
         if not isinstance(other, MultiPoly):
@@ -226,11 +270,22 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         _check_same_n(self._n, other._n)
-        out: dict[MultiIndex, int] = {}
-        for alpha, c in self._nums.items():
-            for beta, d in other._nums.items():
-                key = index_add(alpha, beta)
-                out[key] = out.get(key, 0) + c * d
+        rows, cols = self._nums, other._nums
+        if len(rows) > len(cols):
+            rows, cols = cols, rows
+        cols = cols.items()
+        out: dict[int, int] = {}
+        for alpha, c in rows.items():
+            if out:
+                for beta, d in cols:
+                    key = alpha + beta
+                    out[key] = out.get(key, 0) + c * d
+            else:  # the first row's keys are distinct: nothing to merge yet
+                out = {alpha + beta: c * d for beta, d in cols}
+        # both addends' fields are below _BOUND, so no sum carries into the next
+        # field, and a set guard bit is exactly an exponent that reached _BOUND
+        if any(map(_guard(self._n).__and__, out)):
+            raise ValueError(f"product has an exponent of at least 2**{W - 1}, the bound")
         return MultiPoly._reduced(self._n, out, self._den * other._den)
 
     def __rmul__(self, other: Scalar) -> MultiPoly:
@@ -244,15 +299,18 @@ class MultiPoly:
         A term x^gamma survives only when gamma >= alpha componentwise and
         picks up the falling-factorial factor prod_i gamma_i!/(gamma_i-alpha_i)!.
         """
-        alpha = _check_index(alpha, self._n, "derivative multi-index")
+        alpha = _check_exponents(alpha, self._n, "derivative multi-index")
         if not any(alpha):
             return self  # immutable, so d^0 can hand back the instance itself
-        out: dict[MultiIndex, int] = {}
+        n = self._n
+        guard, packed = _guard(n), _pack(alpha)
+        out: dict[int, int] = {}
         for gamma, c in self._nums.items():
-            if all(g >= a for g, a in zip(gamma, alpha)):
-                for g, a in zip(gamma, alpha):
+            # field i keeps its guard bit iff gamma_i >= alpha_i: no borrow crosses fields
+            if ((gamma | guard) - packed) & guard == guard:
+                for g, a in zip(_unpack(gamma, n), alpha):
                     c *= math.perm(g, a)
-                out[tuple(g - a for g, a in zip(gamma, alpha))] = c
+                out[gamma - packed] = c
         return MultiPoly._reduced(self._n, out, self._den)
 
     def __eq__(self, other: object) -> bool:

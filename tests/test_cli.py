@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
@@ -10,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from opseries import DiffOp, EgfSeries, from_json_dict
-from opseries.cli import main
+from opseries import cli
+from opseries.cli import build_parser, main
 
 XEMX = ",".join(str((-1) ** (m - 1) * m) for m in range(1, 8))  # x e^{-x} to order 7
 XEMX_ARGS = ["invert", "--order", "6", "--coeffs", "0," + XEMX]
@@ -282,3 +286,28 @@ class TestEnumerationCommands:
     def test_usage_error_exits_2(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code == 2
+
+
+class TestParser:
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            assert run(["bell", "2"], capsys)[0] == 0
+            assert run(["partitions", "2"], capsys)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+        assert build_parser() is not build_parser()
+
+    def test_usage_error_leaves_the_parser_as_new(self, capsys):
+        argv = ["invert", "--coeffs", "0,1,1/2,-3,5,2", "--order", "4", "--format", "json"]
+        assert run(["invert", "--coeffs", "0,1", "--order", "x"], capsys)[0] == 2
+        code, out, _ = run(argv, capsys)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "opseries.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert fresh.returncode == 0 and '"inverse"' in fresh.stdout
+        assert (code, out) == (0, fresh.stdout)

@@ -18,7 +18,7 @@ from opseries import (
     unit_op,
 )
 
-from test_multipoly import COEFFS, polys
+from test_multipoly import COEFFS, assert_unequal, polys
 
 
 def diffops(n=2, max_order=2, max_degree=2):
@@ -160,6 +160,26 @@ class TestProducts:
         two = MultiPoly(2, {(1, 0): -1, (0, 0): -2})
         op = DiffOp(2, {(0, 1): two, (0, 0): two, (1, 1): Fraction(-3, 4)})
         assert str(op) == "-3/4*d1*d2 + (-x1 - 2)*d2 + (-x1 - 2)"
+
+
+class TestInequality:
+    """Operators that differ in one place compare unequal."""
+
+    @given(diffops(), st.data(), st.sampled_from([2, -1, Fraction(1, 3)]))
+    @settings(max_examples=40)
+    def test_one_coefficient_changed(self, op, data, k):
+        terms = dict(op.items())
+        if not terms:
+            terms = {(1, 0): MultiPoly.variable(2, 1)}
+            op = DiffOp(2, terms)
+        beta = data.draw(st.sampled_from(sorted(terms)))
+        assert_unequal(op, DiffOp(2, {**terms, beta: terms[beta] * k}))
+        assert_unequal(x1d1(), 2 * x1d1())
+
+    @pytest.mark.parametrize("n, other", [(1, 2), (2, 3)])
+    def test_another_variable_count(self, n, other):
+        assert_unequal(DiffOp.zero(n), DiffOp.zero(other))
+        assert_unequal(unit_op(n), unit_op(other))
 
 
 class TestProductProperties:

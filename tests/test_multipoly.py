@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opseries import DiffOp, EgfSeries, MultiPoly
+from opseries.cli import main
 
 COEFFS = st.sampled_from(
     [
@@ -161,6 +162,67 @@ class TestBoundary:
         with pytest.raises(ValueError, match="bad exponent vector"):
             MultiPoly(1, {alpha: 2})
 
+    # a packed (1,) would read the key of (1, 0); these all returned 0
+    @pytest.mark.parametrize("alpha", [(1,), (1, 0, 0), (-1, 0), (True, 0), (1.0, 0)])
+    def test_coefficient_checks_its_index(self, alpha):
+        p = MultiPoly(2, {(1, 0): 3, (0, 0): 1})
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            p.coefficient(alpha)
+        assert p.coefficient([1, 0]) == 3 and p.coefficient((0, 1)) == 0
+
+
+class TestExponentBound:
+    """Exponents are packed into 32-bit fields whose top bit is a guard: every one is below 2**31."""
+
+    def test_largest_exponent_is_accepted_and_the_next_refused(self):
+        top = MultiPoly(2, {(2**31 - 1, 0): 1, (0, 2**31 - 1): -2})
+        assert top.items() == [((2**31 - 1, 0), 1), ((0, 2**31 - 1), -2)]
+        assert top.coefficient((0, 2**31 - 1)) == -2
+        for alpha in [(2**31,), (2**32,), (2**40 + 1,)]:
+            with pytest.raises(ValueError, match=r"below 2\*\*31"):
+                MultiPoly(1, {alpha: 1})
+            with pytest.raises(ValueError, match=r"below 2\*\*31"):
+                MultiPoly.variable(1, 0).coefficient(alpha)
+            with pytest.raises(ValueError, match=r"below 2\*\*31"):
+                MultiPoly.variable(1, 0).partial(alpha)
+
+    def test_product_reaching_the_bound_is_refused_not_carried(self):
+        half = MultiPoly(2, {(2**30, 0): 1})
+        # a carry out of the x1 field would have returned x2 here
+        with pytest.raises(ValueError, match=r"2\*\*31, the bound"):
+            half * half
+        with pytest.raises(ValueError, match=r"2\*\*31, the bound"):
+            MultiPoly(2, {(0, 2**31 - 1): 1, (0, 0): 1}) * MultiPoly.variable(2, 1)
+        below = MultiPoly(2, {(2**30 - 1, 0): 1}) * half
+        assert below.items() == [((2**31 - 1, 0), 1)]
+        assert (half * MultiPoly(2, {(0, 2**31 - 1): 1})).items() == [((2**30, 2**31 - 1), 1)]
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=80)
+    def test_partial_matches_tuple_oracle(self, data, n):
+        # near-bound exponents in the polynomial; alpha stays small, since
+        # the falling factorial of a near-bound alpha has billions of digits
+        exponent = st.one_of(st.integers(0, 4), st.integers(2**31 - 3, 2**31 - 1))
+        alpha = data.draw(st.tuples(*(st.integers(0, 4) for _ in range(n))))
+        terms = data.draw(st.dictionaries(st.tuples(*(exponent for _ in range(n))),
+                                          COEFFS, max_size=4))
+        # the same exponent as alpha, except one entry one short of it
+        for i in range(n):
+            if alpha[i]:
+                terms[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]] = Fraction(5, 3)
+        p = MultiPoly(n, terms)
+        expected = {}
+        for gamma, c in p.items():
+            if all(g >= a for g, a in zip(gamma, alpha)):
+                for g, a in zip(gamma, alpha):
+                    c *= math.perm(g, a)
+                expected[tuple(g - a for g, a in zip(gamma, alpha))] = c
+        assert dict(p.partial(alpha).items()) == expected
+
+    def test_prop1_at_degree_20000_still_runs(self, capsys):
+        assert main(["verify", "prop1", "--n", "1", "--degree", "20000", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.endswith("6/6 passed\n")
+
 
 class TestRingProperties:
     @given(polys(), polys(), polys())
@@ -243,3 +305,52 @@ class TestRingProperties:
         rebuilt = MultiPoly(p.n, dict(p.items()))
         assert rebuilt == p
         assert all(c != 0 for _, c in p.items())
+
+
+def assert_unequal(a, b):
+    """``a`` and ``b`` compare unequal both ways; copies built anew are equal and hash alike."""
+    assert a != b and b != a and not a == b
+    for x, y in [(a, 1 * a), (a, -(-a)), (b, 1 * b), (b, -(-b))]:
+        assert x is not y and x == y and hash(x) == hash(y)
+
+
+INT_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-5, 5).filter(bool), min_size=1, max_size=4,
+)
+
+
+class TestInequality:
+    """Values that differ in one place compare unequal."""
+
+    @given(INT_TERMS, st.sampled_from([7, 11, 13]))
+    @settings(max_examples=40)
+    def test_same_numerators_over_another_denominator(self, terms, k):
+        p = MultiPoly(2, terms)
+        q = p * Fraction(1, k)  # k is prime to every numerator, so only the denominator moves
+        assert {a: c * k for a, c in q.items()} == dict(p.items())
+        assert_unequal(p, q)
+        x = MultiPoly.variable(2, 0)
+        assert_unequal(x, x * Fraction(1, 2))
+
+    @given(INT_TERMS, st.data())
+    @settings(max_examples=40)
+    def test_one_exponent_changed(self, terms, data):
+        alpha = data.draw(st.sampled_from(sorted(terms)))
+        beta = data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+            lambda b: b not in terms))
+        moved = dict(terms)
+        moved[beta] = moved.pop(alpha)
+        assert_unequal(MultiPoly(2, terms), MultiPoly(2, moved))
+
+    @given(INT_TERMS, st.data())
+    @settings(max_examples=40)
+    def test_one_numerator_changed(self, terms, data):
+        alpha = data.draw(st.sampled_from(sorted(terms)))
+        c = data.draw(st.integers(-6, 6).filter(lambda c: c and c != terms[alpha]))
+        assert_unequal(MultiPoly(2, terms), MultiPoly(2, {**terms, alpha: c}))
+
+    @pytest.mark.parametrize("n, other", [(1, 2), (2, 3)])
+    def test_another_variable_count(self, n, other):
+        assert_unequal(MultiPoly.zero(n), MultiPoly.zero(other))
+        assert_unequal(MultiPoly.const(n, 1), MultiPoly.const(other, 1))
