@@ -7,8 +7,7 @@ reports the mutant killed (the tests failed) or survived (they passed).
 The unmutated copy is run first and must pass, so that a kill means the
 mutant was seen.  Uses the standard library only; pytest must be importable.
 
-    python3 tools/mutants.py            # run every mutant
-    python3 tools/mutants.py --list     # print the mutants and exit
+    python3 tools/mutants.py
 
 Exit status: 0 if every mutant is killed, 1 if any survives, 2 if the
 unmutated tests fail, the copy's ``opseries`` is not the one imported, or
@@ -17,7 +16,6 @@ a mutant's text no longer occurs exactly once in its file.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -100,13 +98,6 @@ def tests_fail(mutant: Mutant | None) -> bool:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
-    args = parser.parse_args()
-    if args.list:
-        for mutant in MUTANTS:
-            print(f"{mutant.name}  [{mutant.path}]")
-        return 0
     if tests_fail(None):
         print("the tests fail on the unmutated tree; no mutant can be judged")
         return 2
