@@ -159,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--n", type=int, default=2, help="variable count")
     p_ver.add_argument("--degree", type=int, default=2, help="coefficient degree bound")
-    p_ver.add_argument("--m", type=int, default=None, help="instance size, where applicable")
-    p_ver.add_argument("--order", type=int, default=None, help="series or z order")
+    for flag, what in (("m", "instance size"), ("order", "series or z order")):
+        readers = ", ".join(f"{s} (default {d})" for s, (f, d, _) in SUITES.items() if f == flag)
+        p_ver.add_argument(f"--{flag}", type=int, default=None, help=f"{what}, read by {readers}")
     p_ver.add_argument("--format", choices=["json", "text"], default="text")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -22,7 +22,8 @@ from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .diffop import DiffOp, _block, _check_indices, _check_op_list, _diamond_powers, unit_op
+from .diffop import (DiffOp, _block, _check_indices, _check_op_list, _circ_generators,
+                     _diamond_powers, unit_op)
 from .multipoly import _graded_lex, _join_signed, _monomial_str, _term
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
@@ -110,21 +111,19 @@ def set_partitions(m: int) -> list[SetPartition]:
     if m > MAX_SET_PARTITION_SIZE:
         raise ValueError(f"set partitions capped at m <= {MAX_SET_PARTITION_SIZE}, got {m}")
     out: list[SetPartition] = []
-    labels = [0] * m
-
-    def grow(i: int, n_labels: int) -> None:
-        if i == m:
-            blocks: list[list[int]] = [[] for _ in range(n_labels)]
-            for element, label in enumerate(labels, start=1):
-                blocks[label].append(element)
-            out.append(SetPartition(m, tuple(tuple(b) for b in blocks)))
-            return
-        for v in range(n_labels + 1):
-            labels[i] = v
-            grow(i + 1, n_labels + 1 if v == n_labels else n_labels)
-
-    grow(0, 0)
-    return out
+    labels = [0] * m  # a restricted-growth string: element i + 1 lies in block labels[i]
+    while True:
+        blocks: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+        for element, label in enumerate(labels, start=1):
+            blocks[label].append(element)
+        out.append(SetPartition(m, tuple(map(tuple, blocks))))
+        # the next string raises the rightmost label that is at most the largest before it
+        i = m - 1
+        while i and labels[i] > max(labels[:i]):
+            i -= 1
+        if not i:
+            return out
+        labels[i:] = [labels[i] + 1] + [0] * (m - 1 - i)
 
 
 def integer_partitions(m: int) -> list[IntPartition]:
@@ -134,19 +133,19 @@ def integer_partitions(m: int) -> list[IntPartition]:
     if m > MAX_INT_PARTITION_SIZE:
         raise ValueError(f"integer partitions capped at m <= {MAX_INT_PARTITION_SIZE}, got {m}")
     out: list[IntPartition] = []
-    mults = [0] * m
-
-    def grow(remaining: int, max_part: int) -> None:
-        if remaining == 0:
-            out.append(IntPartition(m, tuple(mults)))
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            mults[part - 1] += 1
-            grow(remaining - part, part)
-            mults[part - 1] -= 1
-
-    grow(m, m)
-    return out
+    mults = [0] * (m - 1) + [1]  # the partition m itself comes first
+    while True:
+        out.append(IntPartition(m, tuple(mults)))
+        # the next one lowers the smallest part p > 1 by one, refilling p and the 1s with
+        # parts p - 1 and one part for the remainder
+        part = next((p for p in range(2, m + 1) if mults[p - 1]), 0)
+        if not part:
+            return out
+        count, rest = divmod(part + mults[0], part - 1)
+        mults[0], mults[part - 1] = 0, mults[part - 1] - 1
+        mults[part - 2] += count
+        if rest:
+            mults[rest - 1] += 1
 
 
 def partition_class_count(mults: Sequence[int] | IntPartition) -> int:
@@ -219,7 +218,7 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     if bullets > MAX_BELL_BULLETS:
         msg = f"degree {m} needs {bullets} bullet products, over the bound of {MAX_BELL_BULLETS}"
         raise ValueError(msg)
-    generators = [op] + [p.circ(op) for p in _diamond_powers(op, m - 1)[1:]]  # op^{i-1} o op
+    generators = _circ_generators(op, _diamond_powers(op, m - 1))  # op^{i-1} o op
     total = DiffOp.zero(n)
     for part, count in terms.items():
         factors = [g for g, mult in zip(generators, part.multiplicities) for _ in range(mult)]

@@ -35,7 +35,7 @@ from .multipoly import (
     MultiIndex,
     MultiPoly,
     Scalar,
-    _check_index,
+    _check_exponents,
     _check_same_n,
     _graded_lex,
     _is_scalar,
@@ -62,7 +62,7 @@ class DiffOp:
             raise ValueError(f"variable count must be positive, got {n}")
         clean: dict[MultiIndex, MultiPoly] = {}
         for beta, u in (terms or {}).items():
-            beta = _check_index(beta, n, "derivative multi-index")
+            beta = _check_exponents(beta, n, "derivative multi-index")
             if not isinstance(u, MultiPoly):
                 u = MultiPoly.const(n, u)
             _check_same_n(n, u.n)
@@ -106,7 +106,8 @@ class DiffOp:
         return _graded_lex(self._terms.items())
 
     def coefficient(self, beta: MultiIndex) -> MultiPoly:
-        return self._terms.get(tuple(beta), MultiPoly.zero(self._n))
+        beta = _check_exponents(beta, self._n, "derivative multi-index")
+        return self._terms.get(beta, MultiPoly.zero(self._n))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -299,6 +300,12 @@ def _diamond_powers(op: DiffOp, m: int) -> list[DiffOp]:
     for _ in range(m - 1):
         powers.append(powers[-1].diamond(op))
     return powers
+
+
+def _circ_generators(op: DiffOp, powers: Sequence[DiffOp]) -> list[DiffOp]:
+    # [op, op o op, (op <> op) o op, ...]: p o op for each p of a prefix [unit, op, ...]
+    # of _diamond_powers; unit o op is op, so the first one costs no product
+    return [op, *(p.circ(op) for p in powers[1:])][: len(powers)]
 
 
 def power_diamond(op: DiffOp, m: int) -> DiffOp:

@@ -18,10 +18,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling2
-from .diffop import DiffOp, _chain, _check_op_list, _diamond_powers, power_diamond, unit_op
+from .diffop import (DiffOp, _chain, _check_op_list, _circ_generators, _diamond_powers,
+                     power_diamond, unit_op)
 from .multipoly import MultiIndex, MultiPoly
 from .series import (
     EgfSeries,
@@ -45,8 +46,6 @@ DEFAULT_POOL = (
 LEAD_POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2))
 
 STIRLING_POWER_CAP = 10
-
-SUITES = ("prop1", "corollary", "compos", "bellpower", "expid", "stirling", "inversion")
 
 
 @dataclass(frozen=True)
@@ -176,6 +175,18 @@ def _xd_normal_form(coeffs: Iterable[Fraction | int]) -> DiffOp:
     return DiffOp(1, {(k,): MultiPoly(1, {(k,): c}) for k, c in enumerate(coeffs)})
 
 
+def _timed_reports(
+    desc: str, checks: Iterable[tuple[str, Callable, Callable]]
+) -> list[VerifyReport]:
+    # one report per (label, left, right) entry; each side is a thunk, so a report's
+    # elapsed time covers computing its own two sides and nothing else
+    reports = []
+    for label, left, right in checks:
+        started = time.perf_counter()
+        reports.append(_report(label, desc, left(), right(), started))
+    return reports
+
+
 def verify_product_identities(spec: RandomSpec, trials: int) -> list[VerifyReport]:
     """The five product identities on fresh random operators per trial.
 
@@ -188,34 +199,17 @@ def verify_product_identities(spec: RandomSpec, trials: int) -> list[VerifyRepor
     for rng, desc in _trials(spec, trials):
         a, b, c = (_diffop_from_rng(rng, spec) for _ in range(3))
         u, v = (_vector_field_from_rng(rng, spec) for _ in range(2))
-
-        started = time.perf_counter()
-        lhs = a.diamond(b.diamond(c))
-        rhs = a.diamond(b).diamond(c)
-        reports.append(_report("prop1.diamond_assoc", desc, lhs, rhs, started))
-
-        started = time.perf_counter()
-        lhs = a.bullet(b.bullet(c))
-        rhs = a.bullet(b).bullet(c)
-        reports.append(_report("prop1.bullet_assoc", desc, lhs, rhs, started))
-
-        started = time.perf_counter()
-        reports.append(_report("prop1.bullet_comm", desc, a.bullet(b), b.bullet(a), started))
-
-        started = time.perf_counter()
-        lhs = _associator(u, b, c)
-        rhs = u.bullet(b).circ(c)
-        reports.append(_report("prop1.associator", desc, lhs, rhs, started))
-
-        started = time.perf_counter()
-        lhs = u.circ(b.bullet(c))
-        rhs = u.circ(b).bullet(c) + b.bullet(u.circ(c))
-        reports.append(_report("prop1.leibniz", desc, lhs, rhs, started))
-
-        started = time.perf_counter()
-        lhs = _associator(u, v, c)
-        rhs = _associator(v, u, c)
-        reports.append(_report("prop1.associator_symmetry", desc, lhs, rhs, started))
+        reports += _timed_reports(desc, [
+            ("prop1.diamond_assoc",
+             lambda: a.diamond(b.diamond(c)), lambda: a.diamond(b).diamond(c)),
+            ("prop1.bullet_assoc", lambda: a.bullet(b.bullet(c)), lambda: a.bullet(b).bullet(c)),
+            ("prop1.bullet_comm", lambda: a.bullet(b), lambda: b.bullet(a)),
+            ("prop1.associator", lambda: _associator(u, b, c), lambda: u.bullet(b).circ(c)),
+            ("prop1.leibniz",
+             lambda: u.circ(b.bullet(c)), lambda: u.circ(b).bullet(c) + b.bullet(u.circ(c))),
+            ("prop1.associator_symmetry",
+             lambda: _associator(u, v, c), lambda: _associator(v, u, c)),
+        ])
     return reports
 
 
@@ -225,16 +219,10 @@ def verify_composition_split(spec: RandomSpec, trials: int) -> list[VerifyReport
     for rng, desc in _trials(spec, trials):
         u = _vector_field_from_rng(rng, spec)
         b, c = (_diffop_from_rng(rng, spec) for _ in range(2))
-
-        started = time.perf_counter()
-        lhs = u.circ(b.circ(c))
-        rhs = u.diamond(b).circ(c)
-        reports.append(_report("corollary.compose_shift", desc, lhs, rhs, started))
-
-        started = time.perf_counter()
-        lhs = u.diamond(b)
-        rhs = u.circ(b) + u.bullet(b)
-        reports.append(_report("corollary.product_split", desc, lhs, rhs, started))
+        reports += _timed_reports(desc, [
+            ("corollary.compose_shift", lambda: u.circ(b.circ(c)), lambda: u.diamond(b).circ(c)),
+            ("corollary.product_split", lambda: u.diamond(b), lambda: u.circ(b) + u.bullet(b)),
+        ])
     return reports
 
 
@@ -290,7 +278,7 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
         raise ValueError("z-order must be non-negative")
     zero = DiffOp.zero(op.n)
     powers = _diamond_powers(op, z_order)
-    inner = [zero, op, *(p.circ(op) for p in powers[1:-1])][: z_order + 1]  # unit o op = op
+    inner = [zero, *_circ_generators(op, powers[:-1])]
     # exp and ln of operator-valued z-series under the bullet product
     exp_side = _exp_recurrence(inner, DiffOp.bullet, unit_op(op.n))
     ln_side = [zero] + _quotient(powers[1:], powers, DiffOp.bullet)
@@ -362,6 +350,32 @@ def verify_inversion(f: EgfSeries, order: int, description: str = "") -> VerifyR
     return _report("inversion", desc, left, right, started)
 
 
+# suite name -> (the size flag it reads, "m" or "order", or None; that flag's default;
+# the runner, called with the RandomSpec, the trial count and the size)
+SUITES: dict[str, tuple[str | None, int | None, Callable[..., list[VerifyReport]]]] = {
+    "prop1": (None, None, lambda spec, trials, _: verify_product_identities(spec, trials)),
+    "corollary": (None, None, lambda spec, trials, _: verify_composition_split(spec, trials)),
+    "compos": ("m", 3, lambda spec, trials, m: [
+        verify_partition_expansion(_op_list_from_rng(rng, spec, m), desc)
+        for rng, desc in _trials(spec, trials)
+    ]),
+    "bellpower": ("m", 4, lambda spec, trials, m: [
+        verify_bell_power(_vector_field_from_rng(rng, spec), m, desc)
+        for rng, desc in _trials(spec, trials)
+    ]),
+    "expid": ("order", 5, lambda spec, trials, order: [
+        verify_exp_identity(_vector_field_from_rng(rng, spec), order, desc)
+        for rng, desc in _trials(spec, trials)
+    ] + [verify_exp_identity_xd(order)]),
+    "stirling": ("m", 6, lambda spec, trials, m: [verify_stirling_power(m)]),
+    # the instance depends on neither n nor degree, so neither is described
+    "inversion": ("order", 8, lambda spec, trials, order: [
+        verify_inversion(_series_from_rng(rng, order + 1), order, desc)
+        for rng, desc in _trials(spec, trials, sized=False)
+    ]),
+}
+
+
 def run_suite(
     name: str,
     *,
@@ -378,7 +392,9 @@ def run_suite(
     composition splits), ``compos`` (set-partition expansion),
     ``bellpower`` (Bell-polynomial powers), ``expid`` (generating-function
     identity, plus the x*d specialization), ``stirling`` (normal form of
-    powers of x*d), ``inversion`` (four-way inverse agreement).
+    powers of x*d), ``inversion`` (four-way inverse agreement).  Each suite
+    reads at most one size, ``m`` or ``order`` (see ``SUITES``); the
+    other is refused, and an unset one takes the suite's default.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -386,39 +402,14 @@ def run_suite(
         raise ValueError(f"variable count n must be at least 1, got {n}")
     if degree < 0:
         raise ValueError(f"degree bound must be non-negative, got {degree}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    flag, default, run = SUITES[name]
+    sizes = {"m": m, "order": order}
+    for given, value in sizes.items():
+        if value is not None and given != flag:
+            reads = f"--{flag}" if flag else "no size flag"
+            raise ValueError(f"suite {name!r} does not read --{given}; it reads {reads}")
+    size = sizes.get(flag)
     spec = RandomSpec(seed=seed, n=n, max_degree=degree)
-    if name == "prop1":
-        return verify_product_identities(spec, trials)
-    if name == "corollary":
-        return verify_composition_split(spec, trials)
-    if name == "compos":
-        size = 3 if m is None else m
-        return [
-            verify_partition_expansion(_op_list_from_rng(rng, spec, size), desc)
-            for rng, desc in _trials(spec, trials)
-        ]
-    if name == "bellpower":
-        size = 4 if m is None else m
-        return [
-            verify_bell_power(_vector_field_from_rng(rng, spec), size, desc)
-            for rng, desc in _trials(spec, trials)
-        ]
-    if name == "expid":
-        z_order = 5 if order is None else order
-        reports = [
-            verify_exp_identity(_vector_field_from_rng(rng, spec), z_order, desc)
-            for rng, desc in _trials(spec, trials)
-        ]
-        reports.append(verify_exp_identity_xd(z_order))
-        return reports
-    if name == "stirling":
-        size = 6 if m is None else m
-        return [verify_stirling_power(size)]
-    if name == "inversion":
-        # the instance depends on neither n nor degree, so neither is described
-        size = 8 if order is None else order
-        return [
-            verify_inversion(_series_from_rng(rng, size + 1), size, desc)
-            for rng, desc in _trials(spec, trials, sized=False)
-        ]
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    return run(spec, trials, default if size is None else size)

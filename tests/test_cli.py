@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -14,6 +15,8 @@ import pytest
 
 from opseries import DiffOp, EgfSeries, from_json_dict
 from opseries import cli
+from opseries import verify as verify_module
+from opseries.combinat import integer_partitions, set_partitions, stirling2
 from opseries.cli import build_parser, main
 
 XEMX = ",".join(str((-1) ** (m - 1) * m) for m in range(1, 8))  # x e^{-x} to order 7
@@ -222,6 +225,31 @@ class TestVerify:
         assert out == ""
         assert "1668 bullet products, over the bound of 1500" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["prop1", "--m", "3"], ["corollary", "--order", "2"], ["compos", "--order", "3"],
+         ["bellpower", "--order", "3"], ["expid", "--m", "3"], ["stirling", "--order", "2"],
+         ["inversion", "--m", "4"]],
+    )
+    def test_a_size_flag_the_suite_does_not_read_exits_2(self, capsys, argv):
+        code, out, err = run(["verify"] + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"suite '{argv[0]}' does not read {argv[1]}" in err
+
+    def test_a_failing_check_exits_1_and_shows_both_sides(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify_module, "stirling2", lambda m, k: stirling2(m, k + 1))
+        code, out, _ = run(["verify", "stirling", "--m", "3"], capsys)
+        assert code == 1
+        fail, left, right, total = out.splitlines()
+        assert fail.startswith("FAIL stirling [m=3] (")
+        assert left == "  left:  x1^3*d1^3 + 3*x1^2*d1^2 + x1*d1"
+        assert right == "  right: x1^2*d1^2 + 3*x1*d1 + 1"
+        assert total == "0/1 passed"
+        code, out, _ = run(["verify", "stirling", "--m", "3", "--format", "json"], capsys)
+        assert code == 1
+        assert '"passed": false' in out
+
     def test_unknown_theorem_exits_2(self, capsys):
         code, _, _ = run(["verify", "prop99"], capsys)
         assert code == 2
@@ -311,3 +339,21 @@ class TestParser:
         )
         assert fresh.returncode == 0 and '"inverse"' in fresh.stdout
         assert (code, out) == (0, fresh.stdout)
+
+
+class TestNoCycles:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: set_partitions(6), lambda: integer_partitions(12),
+         lambda: main(["verify", "compos", "--m", "6"])],
+        ids=["set_partitions", "integer_partitions", "verify_compos_text"],
+    )
+    def test_leaves_nothing_for_the_cycle_collector(self, call, capsys):
+        call()  # warm up: first calls fill caches and import lazily
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -123,6 +123,21 @@ class TestProducts:
         with pytest.raises(ValueError, match="bad derivative multi-index"):
             MultiPoly(1, {(2,): 1}).partial(beta)
 
+    @pytest.mark.parametrize("beta", [(1,), (-1, 0), (True, False), (1.0, 0), (2**31, 0)])
+    def test_coefficient_refuses_what_the_constructor_refuses(self, beta):
+        # one index contract: a key no operator can hold is an error, not a zero coefficient
+        op = DiffOp(2, {(1, 0): 3, (0, 1): 5})
+        with pytest.raises(ValueError, match="bad derivative multi-index"):
+            op.coefficient(beta)
+        with pytest.raises(ValueError, match="bad derivative multi-index"):
+            DiffOp(2, {beta: 1})
+        assert op.coefficient([1, 0]) == MultiPoly.const(2, 3)
+
+    def test_refuses_derivative_indices_beyond_the_exponent_bound(self):
+        with pytest.raises(ValueError, match=r"every entry must be below 2\*\*31"):
+            DiffOp(1, {(2**31,): 1})
+        assert DiffOp(1, {(2**31 - 1,): 1}).orders() == {2**31 - 1}
+
     @pytest.mark.parametrize(
         "operation",
         [DiffOp.diamond, DiffOp.circ, DiffOp.bullet, operator.add, operator.sub,

@@ -33,6 +33,7 @@ from opseries import (
 import opseries.series as series_module
 import opseries.verify as verify_module
 from opseries.cli import main
+from opseries.combinat import stirling2
 from opseries.verify import SUITES, _indices_up_to, _report, _trial_seed
 from test_series import TAKES_INVERTIBLE
 
@@ -386,7 +387,113 @@ class TestReports:
         assert report.elapsed >= 0
 
 
+def differing_labels(report):
+    # the labels whose rendered values differ between the two sides of a labelled report
+    left, right = (dict(line.split(": ", 1) for line in side.splitlines())
+                   for side in (report.left, report.right))
+    return {label for label in left if left[label] != right[label]}
+
+
+class TestCheckersCanFail:
+    """Each checker reports a failure once one ingredient of one side is broken."""
+
+    def test_associator_symmetry(self, monkeypatch):
+        original = verify_module._associator
+        # adding x o z makes the associator depend on the order of x and y
+        monkeypatch.setattr(verify_module, "_associator",
+                            lambda x, y, z: original(x, y, z) + x.circ(z))
+        reports = {r.theorem: r for r in verify_product_identities(RandomSpec(seed=1), 1)}
+        assert reports["prop1.associator_symmetry"].passed is False
+
+    def test_product_split(self, monkeypatch):
+        original = DiffOp.bullet
+        monkeypatch.setattr(DiffOp, "bullet", lambda x, y: original(x, y) + x)
+        reports = {r.theorem: r for r in verify_composition_split(RandomSpec(seed=1), 1)}
+        assert reports["corollary.product_split"].passed is False
+
+    def test_bell_power(self, monkeypatch):
+        original = verify_module.bell_eval_bullet
+        monkeypatch.setattr(verify_module, "bell_eval_bullet",
+                            lambda m, op: original(m, op) + unit_op(op.n))
+        assert verify_bell_power(random_vector_field(RandomSpec(seed=1)), 4).passed is False
+
+    def test_exp_side_of_the_exp_identity(self, monkeypatch):
+        original = verify_module._exp_recurrence
+
+        def perturbed(coeffs, mul, one):
+            out = original(coeffs, mul, one)
+            return out[:-1] + [out[-1] + one]
+
+        monkeypatch.setattr(verify_module, "_exp_recurrence", perturbed)
+        report = verify_exp_identity(random_vector_field(RandomSpec(seed=1)), 4)
+        assert report.passed is False
+        assert differing_labels(report) == {"z^4"}
+
+    def test_exp_identity_for_xd(self, monkeypatch):
+        original = EgfSeries.__mul__
+        # every power (e^z - 1)^i with i >= 2 gains the power i - 1
+        monkeypatch.setattr(EgfSeries, "__mul__", lambda f, g: original(f, g) + f)
+        report = verify_exp_identity_xd(4)
+        assert report.passed is False
+        assert differing_labels(report) == {"z^1", "z^2", "z^3", "z^4"}
+
+    def test_stirling_power(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "stirling2", lambda m, k: stirling2(m, k + 1))
+        assert verify_stirling_power(4).passed is False
+
+    def test_f_of_g_in_the_inversion(self, monkeypatch):
+        original = EgfSeries.compose
+
+        def perturbed(f, inner):
+            coeffs = list(original(f, inner).coeffs)
+            coeffs[1] += 1
+            return EgfSeries(coeffs)
+
+        monkeypatch.setattr(EgfSeries, "compose", perturbed)
+        report = verify_inversion(random_invertible_series(RandomSpec(seed=1), 9), 8)
+        assert report.passed is False
+        assert differing_labels(report) == {"f(g)", "g(f)"}
+
+
 class TestRunSuite:
+    def test_suites_keep_their_names_and_order(self):
+        assert list(SUITES) == [
+            "prop1", "corollary", "compos", "bellpower", "expid", "stirling", "inversion"
+        ]
+
+    @pytest.mark.parametrize(
+        "name, sizes, default",
+        [("prop1", {}, None), ("corollary", {}, None), ("compos", {"m": 3}, "m=3"),
+         ("bellpower", {"m": 4}, "m=4"), ("expid", {"order": 5}, "z_order=5"),
+         ("stirling", {"m": 6}, "m=6"), ("inversion", {"order": 8}, "order=8")],
+    )
+    def test_an_unset_size_takes_the_suite_default(self, name, sizes, default):
+        reports = run_suite(name, seed=2)
+        assert [r.as_dict() for r in reports] == [
+            r.as_dict() for r in run_suite(name, seed=2, **sizes)
+        ]
+        if default:
+            assert all(default in r.description for r in reports)
+
+    @pytest.mark.parametrize(
+        "name, flag, reads",
+        [("prop1", "m", "no size flag"), ("prop1", "order", "no size flag"),
+         ("corollary", "order", "no size flag"), ("compos", "order", "--m"),
+         ("bellpower", "order", "--m"), ("expid", "m", "--order"),
+         ("stirling", "order", "--m"), ("inversion", "m", "--order")],
+    )
+    def test_a_size_the_suite_does_not_read_is_refused(self, monkeypatch, name, flag, reads):
+        monkeypatch.setattr(verify_module, "_trials", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=f"suite '{name}' does not read --{flag}; "
+                                             f"it reads {reads}"):
+            run_suite(name, **{flag: 3})
+
+    def test_every_report_is_timed_on_its_own_sides(self, monkeypatch):
+        ticks = iter(range(1000))
+        monkeypatch.setattr(verify_module.time, "perf_counter", lambda: next(ticks))
+        reports = run_suite("prop1", trials=2) + run_suite("corollary")
+        assert [r.elapsed for r in reports] == [1] * 14
+
     def test_every_suite_runs_green(self):
         for name in SUITES:
             reports = run_suite(name, seed=3, trials=2)

@@ -61,6 +61,50 @@ MUTANTS = (
         'alpha = _check_exponents(alpha, self._n, "derivative multi-index")',
         'alpha = _check_index(alpha, self._n, "derivative multi-index")',
     ),
+    # each checker below passes when its right side is replaced by its left one,
+    # unless a test breaks one ingredient of that side and expects a failure
+    Mutant(
+        "prop1.associator_symmetry compares the associator with itself",
+        "src/opseries/verify.py",
+        "lambda: _associator(u, v, c), lambda: _associator(v, u, c)),",
+        "lambda: _associator(u, v, c), lambda: _associator(u, v, c)),",
+    ),
+    Mutant(
+        "corollary.product_split takes X <> Y as its right side",
+        "src/opseries/verify.py",
+        "lambda: u.diamond(b), lambda: u.circ(b) + u.bullet(b)),",
+        "lambda: u.diamond(b), lambda: u.diamond(b)),",
+    ),
+    Mutant(
+        "bellpower takes the composition power as its Bell side",
+        "src/opseries/verify.py",
+        "rhs = bell_eval_bullet(m, op)",
+        "rhs = power_diamond(op, m)",
+    ),
+    Mutant(
+        "expid takes the composition powers as its exp side",
+        "src/opseries/verify.py",
+        "exp_side = _exp_recurrence(inner, DiffOp.bullet, unit_op(op.n))",
+        "exp_side = powers",
+    ),
+    Mutant(
+        "expid.xd takes its left side as its right side",
+        "src/opseries/verify.py",
+        'right = [(f"z^{m}", _xd_normal_form(weights[m])) for m in z]',
+        "right = left",
+    ),
+    Mutant(
+        "stirling takes its left side as its right side",
+        "src/opseries/verify.py",
+        "rhs = _xd_normal_form(stirling2(m, k) for k in range(m + 1))",
+        "rhs = lhs",
+    ),
+    Mutant(
+        "inversion never computes f(g)",
+        "src/opseries/verify.py",
+        "f_after_g = f_n.compose(g_classical)",
+        "f_after_g = ident",
+    ),
 )
 
 
