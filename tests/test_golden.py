@@ -16,7 +16,11 @@ moved to a subset recursion.  The ``bell 6 --format json`` case and the
 text-mode ``invert --method newton`` cases (fractional coefficients, and
 with ``NEG_MIXED`` alternating signs, on the ``inverse:`` line) were
 recorded from the code before the term renderers of ``MultiPoly``,
-``DiffOp``, ``EgfSeries`` and ``BellPoly`` were reduced to one.
+``DiffOp``, ``EgfSeries`` and ``BellPoly`` were reduced to one.  The
+``bellpower --m 10`` case (high derivative orders) and the ``compos --n 3``
+case (three variables) were recorded from the code that still stored an
+operator as a map from derivative index to coefficient polynomial, before
+it moved to one symbol polynomial in ``2n`` variables.
 """
 
 import hashlib
@@ -56,11 +60,16 @@ GOLDEN = [
      "11b312a8c054900fe261a6874422c5b9cbe4fb7a675bb701082eda86c6f11b83"),
     (["verify", "compos", "--m", "7", "--seed", "2", "--format", "json"],
      "d295f3115fcfcee38f3ee574f4e477dfae0b45c9a115fab7bca7d61ef0531bd5"),
+    (["verify", "compos", "--m", "5", "--n", "3", "--degree", "2", "--seed", "4",
+      "--format", "json"],
+     "61f58a0c6e9fb6607dab5f44dc4f44cdfef08922e8ce4d29ea394ff72b90ebf5"),
     (["verify", "prop1", "--trials", "3", "--n", "3", "--degree", "3", "--seed", "7",
       "--format", "json"],
      "9bf36ca2c01ed35c3f83b74a8d4867161816d21053b68ffb3d38359ed58496e4"),
     (["verify", "bellpower"] + VERIFY,
      "a5a2feee9d449d7f94c84ef968bd364091abf7e88c2ecc202ee7d98200d80e00"),
+    (["verify", "bellpower", "--m", "10", "--seed", "3", "--format", "json"],
+     "3a7143d8ff3afdec32b1e4a2fab3b47e60f1ff9374d3c8b02c10704c53724f2a"),
     (["verify", "expid"] + VERIFY,
      "e61884de7c73e8476679ca5686cec01017b1de4d0696496def8379343233e6a0"),
     (["verify", "stirling"] + VERIFY,
