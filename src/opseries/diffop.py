@@ -1,47 +1,76 @@
 """Differential operators with polynomial coefficients and their three products.
 
-An operator is a finite sum of generators ``u * d^beta`` stored as a map
-from the derivative multi-index ``beta`` to its polynomial coefficient
-``u``.  Three bilinear products are defined on generators and extended
-over sums.  All three are slices of one Leibniz sum, computed by a single
-kernel that is told which indices ``g`` to keep:
+An operator ``sum_a u_a d^a`` is stored as its normally ordered symbol
+``sum_a u_a(x) xi^a``: one :class:`MultiPoly` in ``2n`` variables, with
+``x_1..x_n`` in the first ``n`` packed exponent fields and the derivative
+symbols ``xi_1..xi_n`` in the last ``n``.  Three bilinear products are
+defined on generators and extended over sums.  On symbols all three are
+slices of one sum over derivative indices ``g``,
 
-* ``diamond`` -- genuine operator composition, every ``g <= a``:
+    X <> Y = sum_g (1/g!) d_xi^g X * d_x^g Y,
+
+where ``(1/g!) d_xi^g X = sum_{a >= g} (a choose g) u_a xi^(a-g)``:
+
+* ``diamond`` -- genuine operator composition, every ``g``; on generators
   ``u d^a <> v d^b = sum_{g <= a} (a choose g) u d^g(v) d^(a+b-g)``;
-* ``circ`` -- the ``g = a`` term, the derivative part hits only the right
-  coefficient: ``u d^a o v d^b = u d^a(v) d^b``;
-* ``bullet`` -- the ``g = 0`` term, coefficients multiply and derivative
-  orders stack: ``u d^a . v d^b = u v d^(a+b)`` (commutative).
+* ``circ`` -- the same sum with ``xi = 0`` set in each ``(1/g!) d_xi^g X``,
+  which leaves ``u_g``, the part of X with derivative index exactly ``g``:
+  ``u d^a o v d^b = u d^a(v) d^b``;
+* ``bullet`` -- the ``g = 0`` term alone, one polynomial product of the two
+  symbols: ``u d^a . v d^b = u v d^(a+b)`` (commutative).
 
-For first-order ``X`` the sum has only those two terms, which is the split
-``X <> Y = X o Y + X . Y``.  The bullet product over the blocks of a set
-partition, :func:`opseries.combinat.partition_operator`, lives next to the
-partition type that validates its blocks.
+``diamond`` and ``circ`` share one kernel, told which ``g <= a`` to take
+for each derivative index ``a`` of X (all of them, or ``g = a``).  It
+groups X's terms once by ``a``, runs ``g`` only over the indices those
+groups reach and no further than Y's largest exponent of each ``x``,
+forms each ``d_x^g Y`` once through ``MultiPoly.partial`` and skips a
+``g`` where it is zero.  ``xi^(-g)`` is folded into that
+derivative's keys, so every group multiplies as stored, and all products
+accumulate into one numerator map: no per-term key tuples and no
+temporary polynomial per pair of terms.  A product whose derivative order
+reaches ``2**31`` sets a guard bit of the symbol and is refused with
+``MultiPoly``'s ``ValueError``, as an exponent would be.
+
+For first-order ``X`` the sum has only the terms ``|g| <= 1``, which is
+the split ``X <> Y = X o Y + X . Y``.  The bullet product over the blocks
+of a set partition, :func:`opseries.combinat.partition_operator`, lives
+next to the partition type that validates its blocks.
 
 ``diamond`` is grounded semantically by :meth:`DiffOp.apply`:
 ``(X <> Y).apply(p) == X.apply(Y.apply(p))`` for every polynomial ``p``.
 
 Input is checked once, where it enters: the public constructor checks
 every index and coefficient, each operation its operands' variable counts.
-Results are built by the private ``DiffOp._reduced``, which only drops
-zero coefficients, like ``MultiPoly._reduced``.
+Results wrap their symbol through the private ``DiffOp._of_symbol`` and
+check nothing again.  ``items()``, ``coefficient()`` and ``str()`` split
+the symbol by derivative index back into reduced coefficient polynomials,
+one at a time.  This module reads and builds the symbol through
+``MultiPoly``'s packed storage (``_nums``, ``_den``, ``_reduced``,
+``_mul_into``); nothing outside it sees the symbol.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+import math
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .multipoly import (
     MultiIndex,
     MultiPoly,
     Scalar,
+    W,
     _check_exponents,
     _check_same_n,
     _graded_lex,
     _is_scalar,
+    _items_str,
     _join_signed,
     _monomial_str,
+    _mul_into,
+    _pack,
+    _product_result,
     _term,
+    _unpack,
     index_binomial,
     sub_indices,
 )
@@ -50,12 +79,13 @@ from .multipoly import (
 class DiffOp:
     """Immutable differential operator ``sum_beta u_beta d^beta``.
 
-    Coefficients are :class:`MultiPoly` over the same variable count;
-    zero coefficients are never stored, so ``==`` is canonical-map
-    equality.  The zero operator is the empty sum.
+    Coefficients are :class:`MultiPoly` over the same variable count.  The
+    operator is held as its symbol, a canonical ``MultiPoly`` in ``2n``
+    variables, so ``==`` is symbol equality.  The zero operator has the
+    zero symbol.
     """
 
-    __slots__ = ("_n", "_terms")
+    __slots__ = ("_n", "_sym")
 
     def __init__(self, n: int, terms: Mapping[MultiIndex, MultiPoly | Scalar] | None = None):
         if n < 1:
@@ -68,16 +98,43 @@ class DiffOp:
             _check_same_n(n, u.n)
             if not u.is_zero():
                 clean[beta] = u
+        # sum_beta u_beta xi^beta over the lcm of the coefficients' denominators
+        den = math.lcm(*(u._den for u in clean.values()))
+        nums: dict[int, int] = {}
+        for beta, u in clean.items():
+            xi, k = _pack(beta) << (W * n), den // u._den
+            for alpha, c in u._nums.items():
+                nums[alpha + xi] = c * k
         self._n = n
-        self._terms = clean
+        self._sym = MultiPoly._reduced(2 * n, nums, den)
 
     @classmethod
-    def _reduced(cls, n: int, terms: dict[MultiIndex, MultiPoly]) -> DiffOp:
-        # an operation result from checked operands: drop zeros, check nothing again
+    def _of_symbol(cls, n: int, sym: MultiPoly) -> DiffOp:
+        # an operation result from checked operands: wrap its symbol, check nothing again
         out = object.__new__(cls)
         out._n = n
-        out._terms = {b: u for b, u in terms.items() if not u.is_zero()}
+        out._sym = sym
         return out
+
+    def _groups(self) -> dict[int, dict[int, int]]:
+        # the symbol's terms by packed derivative index: they share its keys and numerators
+        shift = W * self._n
+        groups: dict[int, dict[int, int]] = {}
+        for key, c in self._sym._nums.items():
+            groups.setdefault(key >> shift, {})[key] = c
+        return groups
+
+    def _coefficient(self, terms: Iterable[tuple[int, int]]) -> MultiPoly:
+        # the reduced coefficient polynomial of one group's (key, numerator) pairs
+        mask = (1 << (W * self._n)) - 1
+        nums = {key & mask: c for key, c in terms}
+        return MultiPoly._reduced(self._n, nums, self._sym._den)
+
+    def _terms(self) -> Iterator[tuple[MultiIndex, MultiPoly]]:
+        # the terms in items() order, one coefficient polynomial built at a time
+        groups = self._groups()
+        for beta, a in _graded_lex((_unpack(a, self._n), a) for a in groups):
+            yield beta, self._coefficient(groups[a].items())
 
     @classmethod
     def zero(cls, n: int) -> DiffOp:
@@ -103,32 +160,31 @@ class DiffOp:
 
     def items(self) -> list[tuple[MultiIndex, MultiPoly]]:
         """Terms sorted by descending derivative order, then graded-lex."""
-        return _graded_lex(self._terms.items())
+        return list(self._terms())
 
     def coefficient(self, beta: MultiIndex) -> MultiPoly:
         beta = _check_exponents(beta, self._n, "derivative multi-index")
-        return self._terms.get(beta, MultiPoly.zero(self._n))
+        shift, a = W * self._n, _pack(beta)
+        nums = self._sym._nums
+        return self._coefficient((key, c) for key, c in nums.items() if key >> shift == a)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self._sym.is_zero()
 
     def orders(self) -> frozenset[int]:
         """Derivative orders |beta| present; empty for the zero operator."""
-        return frozenset(sum(b) for b in self._terms)
+        shift, n = W * self._n, self._n
+        return frozenset(sum(_unpack(a, n)) for a in {key >> shift for key in self._sym._nums})
 
     def is_first_order(self) -> bool:
         """True when every stored term has |beta| = 1 (vacuously so for zero)."""
-        return all(sum(b) == 1 for b in self._terms)
+        return self.orders() <= {1}
 
     def __add__(self, other: DiffOp) -> DiffOp:
         if not isinstance(other, DiffOp):
             return NotImplemented
         _check_same_n(self._n, other._n)
-        out = dict(self._terms)
-        for beta, u in other._terms.items():
-            prev = out.get(beta)
-            out[beta] = u if prev is None else prev + u
-        return DiffOp._reduced(self._n, out)
+        return DiffOp._of_symbol(self._n, self._sym + other._sym)
 
     def __sub__(self, other: DiffOp) -> DiffOp:
         if not isinstance(other, DiffOp):
@@ -136,55 +192,64 @@ class DiffOp:
         return self + (-other)
 
     def __neg__(self) -> DiffOp:
-        return DiffOp._reduced(self._n, {b: -u for b, u in self._terms.items()})
+        return DiffOp._of_symbol(self._n, -self._sym)
 
     def __mul__(self, scalar: Scalar) -> DiffOp:
         if _is_scalar(scalar):
-            return DiffOp._reduced(self._n, {b: u * scalar for b, u in self._terms.items()})
+            return DiffOp._of_symbol(self._n, self._sym * scalar)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def _product(
-        self, other: DiffOp, gammas: Callable[[MultiIndex], Iterable[MultiIndex]]
+        self, other: DiffOp, gammas: Callable[[MultiIndex, MultiIndex], Iterable[MultiIndex]]
     ) -> DiffOp:
-        # sum over generator pairs of C(alpha, gamma) u d^gamma(v) d^(alpha+beta-gamma),
-        # gamma running over gammas(alpha); each product is one choice of gammas
+        # sum over the groups u_a xi^a of self and g in gammas(a, top) of
+        # (a choose g) u_a xi^(a-g) * d_x^g(other), into one numerator map over the
+        # product of the two denominators; top bounds the g with d_x^g(other) != 0
         _check_same_n(self._n, other._n)
-        acc: dict[MultiIndex, MultiPoly] = {}
-        for alpha, u in self._terms.items():
-            for beta, v in other._terms.items():
-                for gamma in gammas(alpha):
-                    dv = v.partial(gamma)
-                    if dv.is_zero():
-                        continue
+        n, den = self._n, other._sym._den
+        zeros, mask = (0,) * n, (1 << (W * n)) - 1
+        top = zeros  # other's largest exponent of each x
+        for key in other._sym._nums:
+            top = tuple(map(max, top, _unpack(key & mask, n)))
+        derivatives: dict[MultiIndex, dict[int, int]] = {}
+        out: dict[int, int] = {}
+        for a, terms in self._groups().items():
+            alpha = _unpack(a, n)
+            for gamma in gammas(alpha, top):
+                if gamma not in derivatives:
+                    # d_x^g(other) over other's denominator, each key lowered by xi^g: a
+                    # group's key plus it is the packed key of x^(x1+x2) xi^((a-g)+b),
+                    # a sum of two valid keys, so the guard check still sees every overflow
+                    right = other._sym.partial(gamma + zeros)
+                    k, xi = den // right._den, _pack(gamma) << (W * n)
+                    derivatives[gamma] = {key - xi: c * k for key, c in right._nums.items()}
+                cols = derivatives[gamma]
+                if cols:
                     w = index_binomial(alpha, gamma)
-                    coeff = u * dv
-                    if w != 1:
-                        coeff = coeff * w
-                    key = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
-                    prev = acc.get(key)
-                    acc[key] = coeff if prev is None else prev + coeff
-        return DiffOp._reduced(self._n, acc)
+                    out = _mul_into(out, terms, cols if w == 1 else
+                                    {key: c * w for key, c in cols.items()})
+        return DiffOp._of_symbol(n, _product_result(2 * n, out, self._sym._den * den))
 
     def diamond(self, other: DiffOp) -> DiffOp:
         """Operator composition (associative): the full Leibniz sum over gamma <= alpha."""
-        return self._product(other, sub_indices)
+        return self._product(other, lambda alpha, top: sub_indices(tuple(map(min, alpha, top))))
 
     def circ(self, other: DiffOp) -> DiffOp:
         """White product: the left derivative acts on the right coefficient only."""
-        return self._product(other, lambda alpha: (alpha,))
+        return self._product(other, lambda alpha, top: (alpha,))
 
     def bullet(self, other: DiffOp) -> DiffOp:
         """Black product: coefficients multiply, derivative orders add (commutative)."""
-        zero = ((0,) * self._n,)
-        return self._product(other, lambda alpha: zero)
+        _check_same_n(self._n, other._n)
+        return DiffOp._of_symbol(self._n, self._sym * other._sym)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         """Act on a polynomial: ``sum_beta u_beta * d^beta(p)``."""
         _check_same_n(self._n, p.n)
         out = MultiPoly.zero(self._n)
-        for beta, u in self._terms.items():
+        for beta, u in self._terms():
             dp = p.partial(beta)
             if not dp.is_zero():
                 out = out + u * dp
@@ -193,21 +258,21 @@ class DiffOp:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self._n == other._n and self._terms == other._terms
+        return self._n == other._n and self._sym == other._sym
 
     def __hash__(self) -> int:
-        return hash((self._n, frozenset(self._terms.items())))
+        return hash((self._n, self._sym))
 
     def __str__(self) -> str:
         # a one-term coefficient c*x^alpha merges into its term; a longer one
         # is a parenthesised factor with scalar one, so it carries no sign
         parts = []
-        for beta, u in self.items():
+        for beta, u in self._terms():
             if len(terms := u.items()) == 1:
                 ((alpha, c),) = terms
                 mono = _monomial_str(alpha)
             else:
-                c, mono = 1, f"({u})"
+                c, mono = 1, f"({_items_str(terms)})"
             dpart = _monomial_str(beta, "d")
             parts.append(_term(c, f"{mono}*{dpart}" if mono and dpart else mono or dpart))
         return _join_signed(parts)
@@ -310,4 +375,9 @@ def _circ_generators(op: DiffOp, powers: Sequence[DiffOp]) -> list[DiffOp]:
 
 def power_diamond(op: DiffOp, m: int) -> DiffOp:
     """m-fold composition power; the empty product is the unit operator."""
-    return _diamond_powers(op, m)[-1]
+    if m < 0:
+        raise ValueError(f"power must be non-negative, got {m}")
+    power = op if m else unit_op(op.n)
+    for _ in range(m - 1):  # keeps only the last power, not the list _diamond_powers builds
+        power = power.diamond(op)
+    return power

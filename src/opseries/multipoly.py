@@ -125,6 +125,11 @@ def _join_signed(parts: Iterable[tuple[bool, str]]) -> str:
     return "-" + out[3:] if out[1] == "-" else out[3:]
 
 
+def _items_str(items: Iterable[tuple[MultiIndex, Scalar]]) -> str:
+    # a polynomial rendered from its items(), for a caller that has listed them already
+    return _join_signed([_term(c, _monomial_str(a)) for a, c in items])
+
+
 def _scalar(c: object) -> Fraction:
     # the coefficient contract at the public boundary: a float is already
     # inexact and a bool is not a number, so neither is read as a rational
@@ -159,6 +164,30 @@ def _check_same_n(n: int, other: int) -> None:
         raise ValueError(f"variable-count mismatch: {n} vs {other}")
 
 
+def _mul_into(out: dict[int, int], p: Mapping[int, int], q: Mapping[int, int]) -> dict[int, int]:
+    # out + p * q on packed keys and integer numerators, summed in out itself unless out is
+    # empty; the result must pass _product_result
+    rows, cols = (p, q) if len(p) <= len(q) else (q, p)
+    cols = cols.items()
+    for alpha, c in rows.items():
+        if out:
+            for beta, d in cols:
+                key = alpha + beta
+                out[key] = out.get(key, 0) + c * d
+        else:  # the first row's keys are distinct: nothing to merge yet
+            out = {alpha + beta: c * d for beta, d in cols}
+    return out
+
+
+def _product_result(n: int, nums: dict[int, int], den: int) -> MultiPoly:
+    # every key is the field-wise sum of two packed keys whose fields are below _BOUND, so
+    # no sum carries into the next field, and a set guard bit is exactly an exponent that
+    # reached _BOUND
+    if any(map(_guard(n).__and__, nums)):
+        raise ValueError(f"product has an exponent of at least 2**{W - 1}, the bound")
+    return MultiPoly._reduced(n, nums, den)
+
+
 class MultiPoly:
     """Immutable sparse polynomial with rational coefficients.
 
@@ -189,13 +218,16 @@ class MultiPoly:
     @classmethod
     def _reduced(cls, n: int, nums: dict[int, int], den: int) -> MultiPoly:
         # the one normalisation of every computed result: drop zero numerators,
-        # divide out the common gcd, and skip the public constructor's checks
+        # divide out the common gcd, and skip the public constructor's checks.
+        # nums is a fresh map that the result takes over, so it is changed in place
         if 0 in nums.values():
-            nums = {a: c for a, c in nums.items() if c}
+            for a in [a for a, c in nums.items() if not c]:
+                del nums[a]
         if den != 1:  # over den 1 the gcd is 1 already
             g = math.gcd(den, *nums.values())
             if g != 1:
-                nums = {a: c // g for a, c in nums.items()}
+                for a, c in nums.items():
+                    nums[a] = c // g
                 den //= g
         out = object.__new__(cls)
         out._n = n
@@ -270,23 +302,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         _check_same_n(self._n, other._n)
-        rows, cols = self._nums, other._nums
-        if len(rows) > len(cols):
-            rows, cols = cols, rows
-        cols = cols.items()
-        out: dict[int, int] = {}
-        for alpha, c in rows.items():
-            if out:
-                for beta, d in cols:
-                    key = alpha + beta
-                    out[key] = out.get(key, 0) + c * d
-            else:  # the first row's keys are distinct: nothing to merge yet
-                out = {alpha + beta: c * d for beta, d in cols}
-        # both addends' fields are below _BOUND, so no sum carries into the next
-        # field, and a set guard bit is exactly an exponent that reached _BOUND
-        if any(map(_guard(self._n).__and__, out)):
-            raise ValueError(f"product has an exponent of at least 2**{W - 1}, the bound")
-        return MultiPoly._reduced(self._n, out, self._den * other._den)
+        out = _mul_into({}, self._nums, other._nums)
+        return _product_result(self._n, out, self._den * other._den)
 
     def __rmul__(self, other: Scalar) -> MultiPoly:
         if _is_scalar(other):
@@ -322,7 +339,7 @@ class MultiPoly:
         return hash((self._n, self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
-        return _join_signed([_term(c, _monomial_str(a)) for a, c in self.items()])
+        return _items_str(self.items())
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._n}, {self})"

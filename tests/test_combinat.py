@@ -81,6 +81,23 @@ class TestSetPartitions:
             for signature, count in counts.items():
                 assert count == partition_class_count(signature)
 
+    def test_unchecked_results_equal_checked_ones(self, monkeypatch):
+        # set_partitions builds valid canonical blocks, so it skips the constructor's checks;
+        # each result is still exactly what the checked constructor makes of its blocks
+        results = {m: set_partitions(m) for m in range(1, 8)}
+        for m, parts in results.items():
+            for p in parts:
+                assert p == SetPartition(m, p.blocks)
+                assert type(p.blocks) is tuple and all(type(b) is tuple for b in p.blocks)
+
+        def refuse(self):
+            raise AssertionError("set_partitions ran SetPartition's checks")
+
+        monkeypatch.setattr(SetPartition, "__post_init__", refuse)
+        assert set_partitions(5) == results[5]
+        with pytest.raises(AssertionError, match="ran SetPartition's checks"):
+            SetPartition(1, ((1,),))
+
     def test_cap_and_domain(self):
         with pytest.raises(ValueError):
             set_partitions(0)
@@ -305,6 +322,22 @@ class TestBellEvalBullet:
         monkeypatch.setattr(DiffOp, "bullet", guarded)
         field = self.generic_field()
         assert bell_eval_bullet(4, field) == power_diamond(field, 4)
+
+    @pytest.mark.parametrize("m, formed", [(8, 52), (12, 255)])
+    def test_monomials_reuse_the_previous_prefix(self, monkeypatch, m, formed):
+        # 1^m, 2 1^(m-2), ... share their leading factors with the monomial before them,
+        # so fewer bullets are formed than the one chain per monomial the bound counts
+        calls, bullet = [], DiffOp.bullet
+
+        def counted(x, y):
+            calls.append(1)
+            return bullet(x, y)
+
+        monkeypatch.setattr(DiffOp, "bullet", counted)
+        result = bell_eval_bullet(m, self.xd())
+        assert len(calls) == formed < sum(p.length - 1 for p in integer_partitions(m))
+        monkeypatch.setattr(DiffOp, "bullet", bullet)
+        assert result == power_diamond(self.xd(), m)
 
     @pytest.mark.parametrize(
         "m, bullets, admitted", [(12, 322, True), (16, 1232, True), (17, 1668, False),

@@ -3,6 +3,7 @@
 import math
 import operator
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,30 @@ def stirling_oracle(m, k):
         return 1 if m == 0 else 0
     total = sum((-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1))
     return total // math.factorial(k)
+
+
+def leibniz_reference(x, y, gammas):
+    """The products as first written, one generator pair at a time.
+
+    For each pair of terms ``u d^alpha`` of x and ``v d^beta`` of y and each
+    gamma in ``gammas(alpha)``, add ``C(alpha, gamma) u d^gamma(v)`` at the
+    derivative index ``alpha + beta - gamma``, with plain tuple keys.
+    """
+    acc = {}
+    for alpha, u in x.items():
+        for beta, v in y.items():
+            for gamma in gammas(alpha):
+                w = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
+                key = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
+                acc[key] = acc.get(key, MultiPoly.zero(x.n)) + u * v.partial(gamma) * w
+    return DiffOp(x.n, acc)
+
+
+REFERENCE_GAMMAS = {
+    "diamond": lambda alpha: product(*(range(a + 1) for a in alpha)),
+    "circ": lambda alpha: [alpha],
+    "bullet": lambda alpha: [(0,) * len(alpha)],
+}
 
 
 def xd():
@@ -175,6 +200,40 @@ class TestProducts:
         two = MultiPoly(2, {(1, 0): -1, (0, 0): -2})
         op = DiffOp(2, {(0, 1): two, (0, 0): two, (1, 1): Fraction(-3, 4)})
         assert str(op) == "-3/4*d1*d2 + (-x1 - 2)*d2 + (-x1 - 2)"
+
+
+class TestAgainstTheGeneratorSum:
+    """The symbol kernel against the per-generator Leibniz sum it replaced."""
+
+    @pytest.mark.parametrize("name", list(REFERENCE_GAMMAS))
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(diffops(n, max_order=3), diffops(n, max_order=3))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_order_products(self, name, pair):
+        x, y = pair
+        assert getattr(x, name)(y) == leibniz_reference(x, y, REFERENCE_GAMMAS[name])
+
+    def test_a_derivative_order_of_2_31_is_refused(self):
+        # the symbol keeps derivative orders in guarded fields, as MultiPoly keeps exponents
+        x1 = MultiPoly.variable(1, 0)
+        big = DiffOp(1, {(2**30,): x1})
+        bound = r"product has an exponent of at least 2\*\*31, the bound"
+        with pytest.raises(ValueError, match=bound):
+            big.bullet(big)
+        with pytest.raises(ValueError, match=bound):
+            big.diamond(big)
+        below = DiffOp(1, {(2**30 - 1,): 1})
+        assert big.bullet(below) == DiffOp(1, {(2**31 - 1,): x1})
+
+    def test_diamond_takes_no_gamma_beyond_the_right_degree(self):
+        # d^(2^30) <> x d has only the gammas 0 and 1: d^gamma(x) is zero beyond them
+        x1 = MultiPoly.variable(1, 0)
+        high = DiffOp(1, {(2**30,): 1})
+        assert high.diamond(xd()) == DiffOp(1, {(2**30 + 1,): x1, (2**30,): 2**30})
+        assert high.circ(xd()).is_zero()
 
 
 class TestInequality:

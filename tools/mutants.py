@@ -46,14 +46,27 @@ MUTANTS = (
     Mutant(
         "DiffOp.__eq__ compares derivative indices only (d1 == 2*d1)",
         "src/opseries/diffop.py",
-        "return self._n == other._n and self._terms == other._terms",
-        "return self._n == other._n and self._terms.keys() == other._terms.keys()",
+        "return self._n == other._n and self._sym == other._sym",
+        "return self._n == other._n and [b for b, _ in self.items()] == "
+        "[b for b, _ in other.items()]",
     ),
     Mutant(
-        "MultiPoly.__mul__ without the guard-bit check on product exponents",
+        "MultiPoly products without the guard-bit check on product exponents",
         "src/opseries/multipoly.py",
-        "if any(map(_guard(self._n).__and__, out)):",
+        "if any(map(_guard(n).__and__, nums)):",
         "if False:",
+    ),
+    Mutant(
+        "circ keeps every g <= a (xi >= g) instead of g == a (xi == g)",
+        "src/opseries/diffop.py",
+        "return self._product(other, lambda alpha, top: (alpha,))",
+        "return self._product(other, lambda alpha, top: sub_indices(tuple(map(min, alpha, top))))",
+    ),
+    Mutant(
+        "diamond without its (a choose g) weight",
+        "src/opseries/diffop.py",
+        "w = index_binomial(alpha, gamma)",
+        "w = 1",
     ),
     Mutant(
         "MultiPoly.partial without the 2**31 bound its borrow test relies on",
