@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 from .diffop import (DiffOp, _block, _check_indices, _check_op_list, _circ_generators,
@@ -228,7 +228,7 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     if bullets > MAX_BELL_BULLETS:
         msg = f"degree {m} needs {bullets} bullet products, over the bound of {MAX_BELL_BULLETS}"
         raise ValueError(msg)
-    generators = _circ_generators(op, _diamond_powers(op, m - 1))  # op^{i-1} o op
+    generators = _circ_generators(op, [*islice(_diamond_powers(op), m)])  # op^{i-1} o op
     # each generator is first order, so a monomial of k parts has derivative order k: one
     # sum per k keeps every addition to the terms of one order
     totals: dict[int, DiffOp] = {}

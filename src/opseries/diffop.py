@@ -40,18 +40,20 @@ next to the partition type that validates its blocks.
 ``(X <> Y).apply(p) == X.apply(Y.apply(p))`` for every polynomial ``p``.
 
 Input is checked once, where it enters: the public constructor checks
-every index and coefficient, each operation its operands' variable counts.
-Results wrap their symbol through the private ``DiffOp._of_symbol`` and
-check nothing again.  ``items()``, ``coefficient()`` and ``str()`` split
-the symbol by derivative index back into reduced coefficient polynomials,
-one at a time.  This module reads and builds the symbol through
-``MultiPoly``'s packed storage (``_nums``, ``_den``, ``_reduced``,
-``_mul_into``); nothing outside it sees the symbol.
+every index and coefficient and builds the symbol with ``MultiPoly``'s
+public constructor, from the terms ``{(*alpha, *beta): c}``; each
+operation checks its operands' variable counts.  Results wrap their
+symbol through the private ``DiffOp._of_symbol`` and check nothing again.
+One private method, ``_groups()``, splits the symbol's terms by derivative
+index; ``items()``, ``coefficient()``, ``orders()`` and ``str()`` read it
+through that split, one reduced coefficient polynomial at a time.  The
+products work on ``MultiPoly``'s packed storage (``_nums``, ``_den``,
+``_reduced``, ``_mul_into``); nothing outside this module sees the symbol.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .multipoly import (
@@ -90,23 +92,16 @@ class DiffOp:
     def __init__(self, n: int, terms: Mapping[MultiIndex, MultiPoly | Scalar] | None = None):
         if n < 1:
             raise ValueError(f"variable count must be positive, got {n}")
-        clean: dict[MultiIndex, MultiPoly] = {}
+        symbol: dict[MultiIndex, Scalar] = {}  # sum_beta u_beta xi^beta
         for beta, u in (terms or {}).items():
             beta = _check_exponents(beta, n, "derivative multi-index")
             if not isinstance(u, MultiPoly):
                 u = MultiPoly.const(n, u)
             _check_same_n(n, u.n)
-            if not u.is_zero():
-                clean[beta] = u
-        # sum_beta u_beta xi^beta over the lcm of the coefficients' denominators
-        den = math.lcm(*(u._den for u in clean.values()))
-        nums: dict[int, int] = {}
-        for beta, u in clean.items():
-            xi, k = _pack(beta) << (W * n), den // u._den
-            for alpha, c in u._nums.items():
-                nums[alpha + xi] = c * k
+            for alpha, c in u.items():
+                symbol[(*alpha, *beta)] = c
         self._n = n
-        self._sym = MultiPoly._reduced(2 * n, nums, den)
+        self._sym = MultiPoly(2 * n, symbol)
 
     @classmethod
     def _of_symbol(cls, n: int, sym: MultiPoly) -> DiffOp:
@@ -164,17 +159,14 @@ class DiffOp:
 
     def coefficient(self, beta: MultiIndex) -> MultiPoly:
         beta = _check_exponents(beta, self._n, "derivative multi-index")
-        shift, a = W * self._n, _pack(beta)
-        nums = self._sym._nums
-        return self._coefficient((key, c) for key, c in nums.items() if key >> shift == a)
+        return self._coefficient(self._groups().get(_pack(beta), {}).items())
 
     def is_zero(self) -> bool:
         return self._sym.is_zero()
 
     def orders(self) -> frozenset[int]:
         """Derivative orders |beta| present; empty for the zero operator."""
-        shift, n = W * self._n, self._n
-        return frozenset(sum(_unpack(a, n)) for a in {key >> shift for key in self._sym._nums})
+        return frozenset(sum(_unpack(a, self._n)) for a in self._groups())
 
     def is_first_order(self) -> bool:
         """True when every stored term has |beta| = 1 (vacuously so for zero)."""
@@ -311,9 +303,12 @@ def _check_indices(indices: Iterable[int]) -> tuple[int, ...]:
 
 
 def _check_subset(indices: Iterable[int], m: int) -> tuple[int, ...]:
-    picked = tuple(sorted(set(_check_indices(indices))))
+    picked = tuple(sorted(_check_indices(indices)))
     if not picked:
         raise ValueError("index subset must be non-empty")
+    for i, j in zip(picked, picked[1:]):
+        if i == j:
+            raise ValueError(f"index {i} is repeated in {list(picked)}")
     if picked[0] < 1 or picked[-1] > m:
         raise ValueError(f"indices must lie in 1..{m}, got {list(picked)}")
     return picked
@@ -357,14 +352,10 @@ def subset_operator(ops: Sequence[DiffOp], indices: Iterable[int]) -> DiffOp:
     return _block(ops, _check_subset(indices, len(ops)), {})
 
 
-def _diamond_powers(op: DiffOp, m: int) -> list[DiffOp]:
-    """``[unit, op, op <> op, ...]`` up to the m-th composition power."""
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
-    powers = [unit_op(op.n), op][: m + 1]  # unit <> op is op: no product
-    for _ in range(m - 1):
-        powers.append(powers[-1].diamond(op))
-    return powers
+def _diamond_powers(op: DiffOp) -> Iterator[DiffOp]:
+    # unit, op, op <> op, ... without end, for callers to slice: one fold, in which the
+    # m-th power costs m - 1 diamonds and only the latest power stays alive
+    return chain([unit_op(op.n)], accumulate(repeat(op), DiffOp.diamond))
 
 
 def _circ_generators(op: DiffOp, powers: Sequence[DiffOp]) -> list[DiffOp]:
@@ -377,7 +368,4 @@ def power_diamond(op: DiffOp, m: int) -> DiffOp:
     """m-fold composition power; the empty product is the unit operator."""
     if m < 0:
         raise ValueError(f"power must be non-negative, got {m}")
-    power = op if m else unit_op(op.n)
-    for _ in range(m - 1):  # keeps only the last power, not the list _diamond_powers builds
-        power = power.diamond(op)
-    return power
+    return next(islice(_diamond_powers(op), m, None))

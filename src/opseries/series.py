@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .multipoly import Scalar, _is_scalar, _join_signed, _scalar, _term
@@ -290,13 +290,9 @@ def classical_inverse(f: EgfSeries, order: int) -> EgfSeries:
     _as_invertible(f, order + 1)
     shifted = EgfSeries(f.coeffs[m + 1] / (m + 1) for m in range(order + 1))
     w = shifted.reciprocal()  # x/f, valid to `order`
-    out = [Fraction(0)] * (order + 1)
-    power = w  # (x/f)^n from n = 1: no product with one
-    for n in range(1, order + 1):
-        out[n] = power[n - 1]
-        if n < order:
-            power = power * w
-    return EgfSeries(out)
+    powers = accumulate(repeat(w), operator.mul)  # (x/f)^n from n = 1
+    # range first: zip stops on it before it pulls a power past (x/f)^order
+    return EgfSeries([Fraction(0), *(p[n - 1] for n, p in zip(range(1, order + 1), powers))])
 
 
 def operator_iterate(f: EgfSeries, start: EgfSeries, count: int) -> EgfSeries:

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling2
@@ -277,7 +277,7 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
     if z_order < 0:
         raise ValueError("z-order must be non-negative")
     zero = DiffOp.zero(op.n)
-    powers = _diamond_powers(op, z_order)
+    powers = [*islice(_diamond_powers(op), z_order + 1)]
     inner = [zero, *_circ_generators(op, powers[:-1])]
     # exp and ln of operator-valued z-series under the bullet product
     exp_side = _exp_recurrence(inner, DiffOp.bullet, unit_op(op.n))
@@ -300,12 +300,10 @@ def verify_exp_identity_xd(z_order: int) -> VerifyReport:
     started = time.perf_counter()
     if z_order < 0:
         raise ValueError("z-order must be non-negative")
-    powers = _diamond_powers(_xd_normal_form([0, 1]), z_order)
+    powers = [*islice(_diamond_powers(_xd_normal_form([0, 1])), z_order + 1)]
 
     em1 = EgfSeries([0] + [1] * z_order)  # e^z - 1
-    em1_powers = [EgfSeries.one(z_order), em1][: z_order + 1]  # one * em1 is em1: no product
-    for _ in range(z_order - 1):
-        em1_powers.append(em1_powers[-1] * em1)
+    em1_powers = [EgfSeries.one(z_order), *islice(accumulate(repeat(em1), operator.mul), z_order)]
 
     z = range(z_order + 1)
     weights = [[p[m] / math.factorial(i) for i, p in enumerate(em1_powers)] for m in z]

@@ -376,3 +376,9 @@ class TestChains:
         second_order = DiffOp(2, {(1, 1): MultiPoly.const(2, 1)})
         with pytest.raises(ValueError):
             diamond_chain([second_order], {1})
+
+    @pytest.mark.parametrize("build", [diamond_chain, subset_operator])
+    @pytest.mark.parametrize("indices, label", [([1, 1, 2], 1), ((2, 2), 2), ([3, 1, 3], 3)])
+    def test_repeated_label_is_refused_not_dropped(self, build, indices, label):
+        with pytest.raises(ValueError, match=f"index {label} is repeated"):
+            build(self.make_ops(), indices)

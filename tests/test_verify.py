@@ -268,6 +268,19 @@ class TestSuites:
         monkeypatch.setattr(EgfSeries, "__mul__", guarded)
         assert check()
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_power_sequences_form_no_power_past_the_last(self, monkeypatch, m):
+        # the m-th power costs m - 1 products, and nothing forms the (m+1)-th
+        diamonds = count_calls(monkeypatch, DiffOp, "diamond")
+        power_diamond(random_vector_field(RandomSpec(seed=9)), m)
+        assert len(diamonds) == m - 1
+        products = count_calls(monkeypatch, EgfSeries, "__mul__")
+        classical_inverse(EgfSeries([0, 2, -1, 1, 0, 3, 1]), m)  # reads (x/f)^1 .. (x/f)^m
+        assert len(products) == m - 1
+        products.clear()
+        verify_exp_identity_xd(m)  # reads (e^z - 1)^0 .. (e^z - 1)^m
+        assert len(products) == m - 1
+
     @pytest.mark.parametrize("m, diamonds, circs", [(5, 12, 26), (6, 27, 57)])
     def test_partition_expansion_composes_only_the_chains_it_reads(
         self, monkeypatch, m, diamonds, circs

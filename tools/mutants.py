@@ -9,9 +9,14 @@ mutant was seen.  Uses the standard library only; pytest must be importable.
 
     python3 tools/mutants.py
 
+Known output-equivalent mutants are listed apart, in ``EQUIVALENT``: no
+output-level test can kill them, so they are not run.  Each one's text
+must still occur exactly once in its file, and the runner prints it.
+
 Exit status: 0 if every mutant is killed, 1 if any survives, 2 if the
 unmutated tests fail, the copy's ``opseries`` is not the one imported, or
-a mutant's text no longer occurs exactly once in its file.
+a mutant's text (an equivalent one's too) no longer occurs exactly once in
+its file.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -118,21 +124,54 @@ MUTANTS = (
         "f_after_g = f_n.compose(g_classical)",
         "f_after_g = ident",
     ),
+    Mutant(
+        "classical_inverse forms (x/f)^(order+1), a power it never reads",
+        "src/opseries/series.py",
+        "for n, p in zip(range(1, order + 1), powers)",
+        "for p, n in zip(powers, range(1, order + 1))",
+    ),
+)
+
+# same output as the source, so only a call-structure or cost test could see them
+EQUIVALENT = (
+    Mutant(
+        "log_form_inverse hands off to newton_inverse from order 20",
+        "src/opseries/series.py",
+        "return log_form_terms(f, order).ln()",
+        "return newton_inverse(f, order) if order >= 20 else log_form_terms(f, order).ln()",
+    ),
+    Mutant(
+        # math.perm(g, a) is 0 when g < a, and _reduced drops the zero numerators
+        "MultiPoly.partial without its divisibility test",
+        "src/opseries/multipoly.py",
+        "if ((gamma | guard) - packed) & guard == guard:",
+        "if True:",
+    ),
 )
 
 
+def give_up(message: str) -> NoReturn:
+    # SystemExit with a message exits 1, the status of a survivor: print it, exit 2
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def copy_tree(dest: Path, mutant: Mutant | None) -> None:
-    """Copy the tree to ``dest``, with ``mutant`` applied; SystemExit(2) if it no longer fits."""
+    """Copy the tree to ``dest``, with ``mutant`` applied; exit 2 if it no longer fits."""
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
     shutil.copytree(ROOT, dest, ignore=ignore, dirs_exist_ok=True)
     if mutant is None:
         return
     target = dest / mutant.path
-    text = target.read_text()
+    target.write_text(mutated(target.read_text(), mutant))
+
+
+def mutated(text: str, mutant: Mutant) -> str:
+    """``text`` with ``mutant`` applied; exit 2 unless its old text occurs once."""
     if text.count(mutant.old) != 1:
-        raise SystemExit(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} "
-                         f"times in {mutant.path}, not once")
-    target.write_text(text.replace(mutant.old, mutant.new))
+        give_up(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} "
+                f"times in {mutant.path}, not once")
+    return text.replace(mutant.old, mutant.new)
 
 
 def tests_fail(mutant: Mutant | None) -> bool:
@@ -146,7 +185,7 @@ def tests_fail(mutant: Mutant | None) -> bool:
         ).stdout.strip()
         # an installed opseries found first would hide the mutant
         if not Path(where).resolve().is_relative_to(dest.resolve()):
-            raise SystemExit(f"the tests would import opseries from {where!r}, not the copy")
+            give_up(f"the tests would import opseries from {where!r}, not the copy")
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
             cwd=dest, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -155,6 +194,9 @@ def tests_fail(mutant: Mutant | None) -> bool:
 
 
 def main() -> int:
+    for mutant in EQUIVALENT:
+        mutated((ROOT / mutant.path).read_text(), mutant)
+        print(f"{'equiv':<8}  {'':>6}  {mutant.name}", flush=True)
     if tests_fail(None):
         print("the tests fail on the unmutated tree; no mutant can be judged")
         return 2
