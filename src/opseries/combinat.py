@@ -5,7 +5,8 @@ Two operator constructions are indexed by these objects and live here:
 set partition) and :func:`bell_eval_bullet` (a Bell polynomial evaluated
 under the bullet product).  The sum of the former over every partition,
 which ``verify compos`` checks, is formed by a subset recursion that
-builds each block operator and each sub-sum once.
+builds each block operator and each sub-sum once; blocks and Bell
+generators are white products alone, with no diamond.
 
 Set partitions of ``{1..m}`` are enumerated through restricted-growth
 strings, which is duplicate-free by construction and yields blocks
@@ -22,8 +23,7 @@ from functools import reduce
 from itertools import combinations, islice
 from typing import Iterable, Sequence
 
-from .diffop import (DiffOp, _block, _check_indices, _check_op_list, _circ_generators,
-                     _diamond_powers, unit_op)
+from .diffop import DiffOp, _block, _check_indices, _check_op_list, _circ_powers, unit_op
 from .multipoly import _graded_lex, _join_signed, _monomial_str, _term
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
@@ -213,8 +213,9 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     """Bell polynomial evaluated on a first-order operator under the bullet product.
 
     Substitutes ``x_i -> (diamond power of op, i-1 times) circ op`` and takes
-    every monomial product with ``bullet``.  ``m = 0`` gives the unit
-    operator (empty product).
+    every monomial product with ``bullet``.  The generators are formed as
+    ``G_1 = op`` and ``G_i = op o G_(i-1)``, ``m - 1`` circs and no diamond
+    power.  ``m = 0`` gives the unit operator (empty product).
     """
     if m < 0:
         raise ValueError(f"degree must be non-negative, got {m}")
@@ -228,7 +229,7 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     if bullets > MAX_BELL_BULLETS:
         msg = f"degree {m} needs {bullets} bullet products, over the bound of {MAX_BELL_BULLETS}"
         raise ValueError(msg)
-    generators = _circ_generators(op, [*islice(_diamond_powers(op), m)])  # op^{i-1} o op
+    generators = [*islice(_circ_powers(op), m)]  # op^{i-1} o op, with no diamond power
     # each generator is first order, so a monomial of k parts has derivative order k: one
     # sum per k keeps every addition to the terms of one order
     totals: dict[int, DiffOp] = {}
@@ -263,17 +264,8 @@ def partition_operator(
     return reduce(DiffOp.bullet, (_block(ops, block, {}) for block in part.blocks))
 
 
-def _memo_block(
-    ops: Sequence[DiffOp], picked: tuple[int, ...], chains: dict, blocks: dict
-) -> DiffOp:
-    # the block operator of a sorted index tuple, built once per tuple
-    if picked not in blocks:
-        blocks[picked] = _block(ops, picked, chains)
-    return blocks[picked]
-
-
 def _partition_sum(
-    ops: Sequence[DiffOp], subset: tuple[int, ...], chains: dict, blocks: dict, sums: dict
+    ops: Sequence[DiffOp], subset: tuple[int, ...], blocks: dict, sums: dict
 ) -> DiffOp:
     # sum over the set partitions of a sorted index tuple S of the bullet product of their
     # block operators, peeling the block B that holds min(S) (the exponential formula):
@@ -281,12 +273,12 @@ def _partition_sum(
     # block and each P once, so every subset of 2..m is summed once for all its supersets
     if subset not in sums:
         head, rest = subset[0], subset[1:]
-        total = _memo_block(ops, subset, chains, blocks)
+        total = _block(ops, subset, blocks)
         for size in range(len(rest)):  # a proper tail of B leaves S \ B non-empty
             for tail in combinations(rest, size):
                 others = tuple(i for i in rest if i not in tail)
-                block = _memo_block(ops, (head, *tail), chains, blocks)
-                total = total + block.bullet(_partition_sum(ops, others, chains, blocks, sums))
+                block = _block(ops, (head, *tail), blocks)
+                total = total + block.bullet(_partition_sum(ops, others, blocks, sums))
         sums[subset] = total
     return sums[subset]
 

@@ -22,9 +22,9 @@ where ``(1/g!) d_xi^g X = sum_{a >= g} (a choose g) u_a xi^(a-g)``:
 ``diamond`` and ``circ`` share one kernel, told which ``g <= a`` to take
 for each derivative index ``a`` of X (all of them, or ``g = a``).  It
 groups X's terms once by ``a``, runs ``g`` only over the indices those
-groups reach and no further than Y's largest exponent of each ``x``,
-forms each ``d_x^g Y`` once through ``MultiPoly.partial`` and skips a
-``g`` where it is zero.  ``xi^(-g)`` is folded into that
+groups reach (for ``diamond``, no further than Y's largest exponent of
+each ``x``), forms each ``d_x^g Y`` once through ``MultiPoly.partial``
+and skips a ``g`` where it is zero.  ``xi^(-g)`` is folded into that
 derivative's keys, so every group multiplies as stored, and all products
 accumulate into one numerator map: no per-term key tuples and no
 temporary polynomial per pair of terms.  A product whose derivative order
@@ -32,9 +32,14 @@ reaches ``2**31`` sets a guard bit of the symbol and is refused with
 ``MultiPoly``'s ``ValueError``, as an exponent would be.
 
 For first-order ``X`` the sum has only the terms ``|g| <= 1``, which is
-the split ``X <> Y = X o Y + X . Y``.  The bullet product over the blocks
-of a set partition, :func:`opseries.combinat.partition_operator`, lives
-next to the partition type that validates its blocks.
+the split ``X <> Y = X o Y + X . Y``, and ``X o (Y o Z) = (X <> Y) o Z``.
+By the latter every block ``(L_{i_s} <> ... <> L_{i_2}) o L_{i_1}`` of
+the set-partition expansion is built as ``L_{i_s} o block(i_1 .. i_{s-1})``
+and every Bell generator ``op^(i-1) o op`` as ``op o G_(i-1)``: white
+products alone, with no diamond chain or diamond power.  The bullet
+product over the blocks of a set partition,
+:func:`opseries.combinat.partition_operator`, lives next to the partition
+type that validates its blocks.
 
 ``diamond`` is grounded semantically by :meth:`DiffOp.apply`:
 ``(X <> Y).apply(p) == X.apply(Y.apply(p))`` for every polynomial ``p``.
@@ -53,6 +58,7 @@ products work on ``MultiPoly``'s packed storage (``_nums``, ``_den``,
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -194,22 +200,19 @@ class DiffOp:
     __rmul__ = __mul__
 
     def _product(
-        self, other: DiffOp, gammas: Callable[[MultiIndex, MultiIndex], Iterable[MultiIndex]]
+        self, other: DiffOp, gammas: Callable[[MultiIndex], Iterable[MultiIndex]]
     ) -> DiffOp:
-        # sum over the groups u_a xi^a of self and g in gammas(a, top) of
+        # sum over the groups u_a xi^a of self and g in gammas(a) of
         # (a choose g) u_a xi^(a-g) * d_x^g(other), into one numerator map over the
-        # product of the two denominators; top bounds the g with d_x^g(other) != 0
+        # product of the two denominators
         _check_same_n(self._n, other._n)
         n, den = self._n, other._sym._den
-        zeros, mask = (0,) * n, (1 << (W * n)) - 1
-        top = zeros  # other's largest exponent of each x
-        for key in other._sym._nums:
-            top = tuple(map(max, top, _unpack(key & mask, n)))
+        zeros = (0,) * n
         derivatives: dict[MultiIndex, dict[int, int]] = {}
         out: dict[int, int] = {}
         for a, terms in self._groups().items():
             alpha = _unpack(a, n)
-            for gamma in gammas(alpha, top):
+            for gamma in gammas(alpha):
                 if gamma not in derivatives:
                     # d_x^g(other) over other's denominator, each key lowered by xi^g: a
                     # group's key plus it is the packed key of x^(x1+x2) xi^((a-g)+b),
@@ -226,11 +229,16 @@ class DiffOp:
 
     def diamond(self, other: DiffOp) -> DiffOp:
         """Operator composition (associative): the full Leibniz sum over gamma <= alpha."""
-        return self._product(other, lambda alpha, top: sub_indices(tuple(map(min, alpha, top))))
+        # g stops at other's largest exponent of each x (top), past which d_x^g(other) is 0
+        n, mask = other._n, (1 << (W * other._n)) - 1
+        top = (0,) * n
+        for key in other._sym._nums:
+            top = tuple(map(max, top, _unpack(key & mask, n)))
+        return self._product(other, lambda alpha: sub_indices(tuple(map(min, alpha, top))))
 
     def circ(self, other: DiffOp) -> DiffOp:
         """White product: the left derivative acts on the right coefficient only."""
-        return self._product(other, lambda alpha, top: (alpha,))
+        return self._product(other, lambda alpha: (alpha,))
 
     def bullet(self, other: DiffOp) -> DiffOp:
         """Black product: coefficients multiply, derivative orders add (commutative)."""
@@ -314,39 +322,35 @@ def _check_subset(indices: Iterable[int], m: int) -> tuple[int, ...]:
     return picked
 
 
-def _chain(ops: Sequence[DiffOp], picked: tuple[int, ...], memo: dict) -> DiffOp:
-    # L_max <> ... <> L_min over a sorted 1-based index tuple, peeling the minimum:
-    # _chain(picked[1:]) <> L_min; memo keeps each chain, so shared tails compose once
-    if picked not in memo:
-        head = ops[picked[0] - 1]
-        memo[picked] = head if len(picked) == 1 else _chain(ops, picked[1:], memo).diamond(head)
-    return memo[picked]
-
-
 def _block(ops: Sequence[DiffOp], picked: tuple[int, ...], memo: dict) -> DiffOp:
-    # (L_max <> ... <> L_{i_2}) o L_{i_1}; a singleton is the operator itself
-    head = ops[picked[0] - 1]
-    return head if len(picked) == 1 else _chain(ops, picked[1:], memo).circ(head)
+    # (L_{i_s} <> ... <> L_{i_2}) o L_{i_1} over a sorted 1-based index tuple, built as
+    # L_{i_s} o block(i_1 .. i_{s-1}) by X o (Y o Z) = (X <> Y) o Z for first-order X;
+    # memo keeps each block, so a block shares the circs of its prefixes
+    if picked not in memo:
+        last = ops[picked[-1] - 1]
+        memo[picked] = last if len(picked) == 1 else last.circ(_block(ops, picked[:-1], memo))
+    return memo[picked]
 
 
 def diamond_chain(ops: Sequence[DiffOp], indices: Iterable[int]) -> DiffOp:
     """Compose the selected operators, largest index leftmost.
 
-    For indices ``i_1 < ... < i_s`` this is ``L_{i_s} <> ... <> L_{i_1}``;
-    a singleton just returns that operator.  Indices are 1-based.  One
-    memoised recursion builds every chain in the package, and only when read.
+    For indices ``i_1 < ... < i_s`` this is ``L_{i_s} <> ... <> L_{i_1}``,
+    a left fold of ``s - 1`` diamonds; a singleton just returns that
+    operator.  Indices are 1-based.
     """
     _check_op_list(ops)
-    return _chain(ops, _check_subset(indices, len(ops)), {})
+    return reduce(DiffOp.diamond, [ops[i - 1] for i in reversed(_check_subset(indices, len(ops)))])
 
 
 def subset_operator(ops: Sequence[DiffOp], indices: Iterable[int]) -> DiffOp:
     """Chain the non-minimal selected operators, then circ onto the minimal one.
 
     For indices ``i_1 < ... < i_s``: ``(L_{i_s} <> ... <> L_{i_2}) o L_{i_1}``.
-    A singleton is the operator itself and costs no product (empty chain =
-    unit, a left identity for circ); the chain comes from :func:`diamond_chain`'s
-    memoised recursion.
+    It is built with white products alone, ``s - 1`` circs: by
+    ``X o (Y o Z) = (X <> Y) o Z`` for first-order ``X`` it equals
+    ``L_{i_s} o (L_{i_(s-1)} o ( ... o (L_{i_2} o L_{i_1})))``.  A singleton
+    is the operator itself and costs no product.
     """
     _check_op_list(ops)
     return _block(ops, _check_subset(indices, len(ops)), {})
@@ -358,10 +362,11 @@ def _diamond_powers(op: DiffOp) -> Iterator[DiffOp]:
     return chain([unit_op(op.n)], accumulate(repeat(op), DiffOp.diamond))
 
 
-def _circ_generators(op: DiffOp, powers: Sequence[DiffOp]) -> list[DiffOp]:
-    # [op, op o op, (op <> op) o op, ...]: p o op for each p of a prefix [unit, op, ...]
-    # of _diamond_powers; unit o op is op, so the first one costs no product
-    return [op, *(p.circ(op) for p in powers[1:])][: len(powers)]
+def _circ_powers(op: DiffOp) -> Iterator[DiffOp]:
+    # the Bell generators op^(i-1) o op for i = 1, 2, ... without end: G_1 = op and
+    # G_i = op o G_(i-1), since op^(i-1) o op = (op <> op^(i-2)) o op = op o (op^(i-2) o op)
+    # for first-order op; the i-th costs i - 1 circs and forms no diamond power
+    return accumulate(repeat(op), lambda g, x: x.circ(g))
 
 
 def power_diamond(op: DiffOp, m: int) -> DiffOp:

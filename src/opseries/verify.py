@@ -21,7 +21,7 @@ from itertools import accumulate, combinations_with_replacement, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling2
-from .diffop import (DiffOp, _chain, _check_op_list, _circ_generators, _diamond_powers,
+from .diffop import (DiffOp, _check_op_list, _circ_powers, _diamond_powers, diamond_chain,
                      power_diamond, unit_op)
 from .multipoly import MultiIndex, MultiPoly
 from .series import (
@@ -236,9 +236,10 @@ def verify_partition_expansion(ops: Sequence[DiffOp], description: str = "") -> 
     peeling the block that holds the minimum gives the subset recursion
     ``P(S) = sum over blocks B with min(S) in B of block(B) . P(S \\ B)``,
     which forms ``(3^(m-1) - 1)/2`` bullet products instead of one chain per
-    partition.  Each block is built once, its chain from the memoised
-    recursion behind ``diamond_chain``, and a singleton costs no product.
-    The left side is the memo's full-set chain: one more composition.
+    partition.  Each block is built once, as one circ onto the block of
+    its first ``s - 1`` labels, and a singleton costs no product, so the
+    right side takes circs and bullets alone.  The left side is
+    :func:`diamond_chain`, its ``m - 1`` diamonds the only ones formed.
     """
     started = time.perf_counter()
     ops = list(ops)
@@ -246,10 +247,8 @@ def verify_partition_expansion(ops: Sequence[DiffOp], description: str = "") -> 
     m = len(ops)
     summands = len(set_partitions(m))  # enforces the size cap before any product
 
-    chains: dict[tuple[int, ...], DiffOp] = {}
-    full = tuple(range(1, m + 1))
-    rhs = _partition_sum(ops, full, chains, {}, {})
-    lhs = _chain(ops, full, chains)
+    rhs = _partition_sum(ops, tuple(range(1, m + 1)), {}, {})
+    lhs = diamond_chain(ops, range(1, m + 1))
 
     desc = f"{description} m={m} summands={summands}".strip()
     return _report("compos", desc, lhs, rhs, started)
@@ -278,7 +277,7 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
         raise ValueError("z-order must be non-negative")
     zero = DiffOp.zero(op.n)
     powers = [*islice(_diamond_powers(op), z_order + 1)]
-    inner = [zero, *_circ_generators(op, powers[:-1])]
+    inner = [zero, *islice(_circ_powers(op), z_order)]
     # exp and ln of operator-valued z-series under the bullet product
     exp_side = _exp_recurrence(inner, DiffOp.bullet, unit_op(op.n))
     ln_side = [zero] + _quotient(powers[1:], powers, DiffOp.bullet)

@@ -176,7 +176,7 @@ class TestPartitionSum:
         ops = random_op_list(RandomSpec(seed=seed), m)
         terms = [partition_operator(ops, part) for part in set_partitions(m)]
         expected = reduce(DiffOp.__add__, terms)
-        assert _partition_sum(ops, tuple(range(1, m + 1)), {}, {}, {}) == expected
+        assert _partition_sum(ops, tuple(range(1, m + 1)), {}, {}) == expected
 
 
 class TestIntegerPartitions:
@@ -322,6 +322,24 @@ class TestBellEvalBullet:
         monkeypatch.setattr(DiffOp, "bullet", guarded)
         field = self.generic_field()
         assert bell_eval_bullet(4, field) == power_diamond(field, 4)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_generators_are_white_products_alone(self, monkeypatch, m):
+        # G_1 = op and G_i = op o G_(i-1): m - 1 circs and no diamond power
+        calls = Counter()
+        for name in ("diamond", "circ"):
+            original = getattr(DiffOp, name)
+
+            def counted(x, y, name=name, original=original):
+                calls[name] += 1
+                return original(x, y)
+
+            monkeypatch.setattr(DiffOp, name, counted)
+        field = self.generic_field()
+        result = bell_eval_bullet(m, field)
+        assert (calls["diamond"], calls["circ"]) == (0, m - 1)
+        monkeypatch.undo()
+        assert result == power_diamond(field, m)
 
     @pytest.mark.parametrize("m, formed", [(8, 52), (12, 255)])
     def test_monomials_reuse_the_previous_prefix(self, monkeypatch, m, formed):

@@ -3,7 +3,7 @@
 import math
 import operator
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from opseries import (
     unit_op,
 )
 
+from opseries.diffop import _circ_powers, _diamond_powers
 from test_multipoly import COEFFS, assert_unequal, polys
 
 
@@ -273,7 +274,7 @@ class TestProductProperties:
         assert u.diamond(y) == u.circ(y) + u.bullet(y)
 
     @given(diffops(), diffops())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_diamond_order_grading(self, x, y):
         product = x.diamond(y)
         if x.is_zero() or y.is_zero():
@@ -283,7 +284,7 @@ class TestProductProperties:
         assert all(k <= bound for k in product.orders())
 
     @given(st.integers(0, 2), st.integers(0, 2), st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_bullet_order_grading(self, j, k, data):
         x = data.draw(diffops(max_order=j).filter(lambda o: o.orders() == {j}))
         y = data.draw(diffops(max_order=k).filter(lambda o: o.orders() == {k}))
@@ -329,6 +330,22 @@ class TestChains:
         ops = self.make_ops()
         expected = ops[2].diamond(ops[1]).circ(ops[0])
         assert subset_operator(ops, {1, 2, 3}) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(vector_fields(), min_size=2, max_size=5))
+    def test_every_block_matches_its_definition(self, ops):
+        # the block is built from circs alone; its definition is a diamond chain circ L_min
+        for size in range(2, len(ops) + 1):
+            for picked in combinations(range(1, len(ops) + 1), size):
+                expected = diamond_chain(ops, picked[1:]).circ(ops[picked[0] - 1])
+                assert subset_operator(ops, picked) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(vector_fields())
+    def test_circ_powers_match_their_definition(self, op):
+        # G_i = op o G_(i-1) is op^(i-1) o op, whose powers are diamond powers
+        expected = [p.circ(op) for p in islice(_diamond_powers(op), 6)]
+        assert list(islice(_circ_powers(op), 6)) == expected
 
     def test_partition_operator_blocks(self):
         ops = self.make_ops()

@@ -281,12 +281,12 @@ class TestSuites:
         verify_exp_identity_xd(m)  # reads (e^z - 1)^0 .. (e^z - 1)^m
         assert len(products) == m - 1
 
-    @pytest.mark.parametrize("m, diamonds, circs", [(5, 12, 26), (6, 27, 57)])
+    @pytest.mark.parametrize("m, diamonds, circs", [(5, 4, 26), (6, 5, 57)])
     def test_partition_expansion_composes_only_the_chains_it_reads(
         self, monkeypatch, m, diamonds, circs
     ):
-        # 2^(m-1) - m chains of two or more indices without 1, then the full
-        # chain; one circ per block of two or more indices, 2^m - m - 1
+        # the left side's chain alone takes diamonds, m - 1 of them; the blocks are
+        # white products alone, one circ per block of two or more indices, 2^m - m - 1
         calls = Counter()
         for name in ("diamond", "circ"):
             original = getattr(DiffOp, name)
@@ -423,6 +423,19 @@ class TestCheckersCanFail:
         monkeypatch.setattr(DiffOp, "bullet", lambda x, y: original(x, y) + x)
         reports = {r.theorem: r for r in verify_composition_split(RandomSpec(seed=1), 1)}
         assert reports["corollary.product_split"].passed is False
+
+    def test_compose_shift(self, monkeypatch):
+        original = DiffOp.diamond
+        # X <> Y + X . Y on the right side; its left side takes no diamond
+        monkeypatch.setattr(DiffOp, "diamond", lambda x, y: original(x, y) + x.bullet(y))
+        reports = {r.theorem: r for r in verify_composition_split(RandomSpec(seed=1), 1)}
+        assert reports["corollary.compose_shift"].passed is False
+
+    def test_partition_expansion(self, monkeypatch):
+        original = DiffOp.circ
+        # every block of two or more labels becomes X <> Y; the left side takes no circ
+        monkeypatch.setattr(DiffOp, "circ", lambda x, y: original(x, y) + x.bullet(y))
+        assert verify_partition_expansion(random_op_list(RandomSpec(seed=1), 3)).passed is False
 
     def test_bell_power(self, monkeypatch):
         original = verify_module.bell_eval_bullet

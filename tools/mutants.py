@@ -65,14 +65,26 @@ MUTANTS = (
     Mutant(
         "circ keeps every g <= a (xi >= g) instead of g == a (xi == g)",
         "src/opseries/diffop.py",
-        "return self._product(other, lambda alpha, top: (alpha,))",
-        "return self._product(other, lambda alpha, top: sub_indices(tuple(map(min, alpha, top))))",
+        "return self._product(other, lambda alpha: (alpha,))",
+        "return self._product(other, lambda alpha: sub_indices(alpha))",
     ),
     Mutant(
         "diamond without its (a choose g) weight",
         "src/opseries/diffop.py",
         "w = index_binomial(alpha, gamma)",
         "w = 1",
+    ),
+    Mutant(
+        "a block nests its circs from the wrong side, block(i_1 .. i_(s-1)) o L_(i_s)",
+        "src/opseries/diffop.py",
+        "last.circ(_block(ops, picked[:-1], memo))",
+        "_block(ops, picked[:-1], memo).circ(last)",
+    ),
+    Mutant(
+        "the Bell generators nest to the left, G_(i-1) o op instead of op o G_(i-1)",
+        "src/opseries/diffop.py",
+        "accumulate(repeat(op), lambda g, x: x.circ(g))",
+        "accumulate(repeat(op), lambda g, x: g.circ(x))",
     ),
     Mutant(
         "MultiPoly.partial without the 2**31 bound its borrow test relies on",
