@@ -96,6 +96,8 @@ class IntPartition:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 0:
+            raise ValueError(f"partitioned integer must be a non-negative integer, got {self.m!r}")
         mults = tuple(self.multiplicities)
         object.__setattr__(self, "multiplicities", mults)
         if len(mults) != self.m or any(l < 0 for l in mults):
@@ -116,8 +118,8 @@ class IntPartition:
 
 def set_partitions(m: int) -> list[SetPartition]:
     """All partitions of ``{1..m}``, duplicate-free, in restricted-growth order."""
-    if m < 1:
-        raise ValueError(f"ground set size must be positive, got {m}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"ground set size must be a positive integer, got {m!r}")
     if m > MAX_SET_PARTITION_SIZE:
         raise ValueError(f"set partitions capped at m <= {MAX_SET_PARTITION_SIZE}, got {m}")
     out: list[SetPartition] = []
@@ -138,8 +140,8 @@ def set_partitions(m: int) -> list[SetPartition]:
 
 def integer_partitions(m: int) -> list[IntPartition]:
     """All integer partitions of ``m`` in multiplicity form."""
-    if m < 1:
-        raise ValueError(f"partitioned integer must be positive, got {m}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"partitioned integer must be a positive integer, got {m!r}")
     if m > MAX_INT_PARTITION_SIZE:
         raise ValueError(f"integer partitions capped at m <= {MAX_INT_PARTITION_SIZE}, got {m}")
     out: list[IntPartition] = []
@@ -217,8 +219,8 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     ``G_1 = op`` and ``G_i = op o G_(i-1)``, ``m - 1`` circs and no diamond
     power.  ``m = 0`` gives the unit operator (empty product).
     """
-    if m < 0:
-        raise ValueError(f"degree must be non-negative, got {m}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {m!r}")
     if not op.is_first_order():
         raise ValueError("operator must be first order")
     n = op.n

@@ -44,11 +44,12 @@ type that validates its blocks.
 ``diamond`` is grounded semantically by :meth:`DiffOp.apply`:
 ``(X <> Y).apply(p) == X.apply(Y.apply(p))`` for every polynomial ``p``.
 
-Input is checked once, where it enters: the public constructor checks
-every index and coefficient and builds the symbol with ``MultiPoly``'s
-public constructor, from the terms ``{(*alpha, *beta): c}``; each
-operation checks its operands' variable counts.  Results wrap their
-symbol through the private ``DiffOp._of_symbol`` and check nothing again.
+Input is checked once, where it enters: the public constructor checks each
+derivative index and shifts each coefficient, checked when it was built, to
+the piece ``u_beta xi^beta`` by adding the packed ``xi^beta`` to its keys;
+``MultiPoly.__add__`` sums the pieces.  Each operation checks its operands'
+variable counts.  Results wrap their symbol through the private
+``DiffOp._of_symbol`` and check nothing again.
 One private method, ``_groups()``, splits the symbol's terms by derivative
 index; ``items()``, ``coefficient()``, ``orders()`` and ``str()`` read it
 through that split, one reduced coefficient polynomial at a time.  The
@@ -98,16 +99,15 @@ class DiffOp:
     def __init__(self, n: int, terms: Mapping[MultiIndex, MultiPoly | Scalar] | None = None):
         if n < 1:
             raise ValueError(f"variable count must be positive, got {n}")
-        symbol: dict[MultiIndex, Scalar] = {}  # sum_beta u_beta xi^beta
+        sym = MultiPoly.zero(2 * n)  # sum_beta u_beta xi^beta, one piece per coefficient
         for beta, u in (terms or {}).items():
-            beta = _check_exponents(beta, n, "derivative multi-index")
+            xi = _pack(_check_exponents(beta, n, "derivative multi-index")) << (W * n)
             if not isinstance(u, MultiPoly):
                 u = MultiPoly.const(n, u)
             _check_same_n(n, u.n)
-            for alpha, c in u.items():
-                symbol[(*alpha, *beta)] = c
+            sym += MultiPoly._reduced(2 * n, {a + xi: c for a, c in u._nums.items()}, u._den)
         self._n = n
-        self._sym = MultiPoly(2 * n, symbol)
+        self._sym = sym
 
     @classmethod
     def _of_symbol(cls, n: int, sym: MultiPoly) -> DiffOp:
@@ -371,6 +371,6 @@ def _circ_powers(op: DiffOp) -> Iterator[DiffOp]:
 
 def power_diamond(op: DiffOp, m: int) -> DiffOp:
     """m-fold composition power; the empty product is the unit operator."""
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValueError(f"power must be a non-negative integer, got {m!r}")
     return next(islice(_diamond_powers(op), m, None))

@@ -67,8 +67,12 @@ def _unpack(key: int, n: int) -> MultiIndex:
 
 
 def _check_exponents(alpha: Iterable[int], n: int, what: str) -> MultiIndex:
-    """``_check_index``, plus every entry below the packed field bound ``2**31``."""
-    alpha = _check_index(alpha, n, what)
+    """``alpha`` as a tuple of ``n`` ints (no bools) in ``[0, 2**31)``, else ValueError."""
+    alpha = tuple(alpha)
+    if len(alpha) != n or any(
+        not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in alpha
+    ):
+        raise ValueError(f"bad {what} {alpha} for {n} variables")
     if max(alpha) >= _BOUND:
         raise ValueError(f"bad {what} {alpha}: every entry must be below 2**{W - 1}")
     return alpha
@@ -131,9 +135,11 @@ def _items_str(items: Iterable[tuple[MultiIndex, Scalar]]) -> str:
 
 
 def _scalar(c: object) -> Fraction:
-    # the coefficient contract at the public boundary: a float is already
-    # inexact and a bool is not a number, so neither is read as a rational
-    if isinstance(c, (int, Fraction, str)) and not isinstance(c, bool):
+    # the coefficient contract at the public boundary: a float is inexact and a bool is not
+    # a number, so neither is read as a rational; a Fraction is reduced and is kept as it is
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, (int, str)) and not isinstance(c, bool):
         try:
             return Fraction(c)
         except (ValueError, ZeroDivisionError):
@@ -147,16 +153,6 @@ def _is_scalar(c: object) -> bool:
     if isinstance(c, bool):
         _scalar(c)  # always raises for a bool
     return isinstance(c, (int, Fraction))
-
-
-def _check_index(alpha: Iterable[int], n: int, what: str) -> MultiIndex:
-    """``alpha`` as a tuple of ``n`` non-negative ints (no bools), else ValueError."""
-    alpha = tuple(alpha)
-    if len(alpha) != n or any(
-        not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in alpha
-    ):
-        raise ValueError(f"bad {what} {alpha} for {n} variables")
-    return alpha
 
 
 def _check_same_n(n: int, other: int) -> None:

@@ -273,8 +273,8 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
     started = time.perf_counter()
     if not op.is_first_order():
         raise ValueError("operator must be first order")
-    if z_order < 0:
-        raise ValueError("z-order must be non-negative")
+    if isinstance(z_order, bool) or not isinstance(z_order, int) or z_order < 0:
+        raise ValueError(f"z-order must be a non-negative integer, got {z_order!r}")
     zero = DiffOp.zero(op.n)
     powers = [*islice(_diamond_powers(op), z_order + 1)]
     inner = [zero, *islice(_circ_powers(op), z_order)]
@@ -297,8 +297,8 @@ def verify_exp_identity_xd(z_order: int) -> VerifyReport:
     algebra to series algebra.
     """
     started = time.perf_counter()
-    if z_order < 0:
-        raise ValueError("z-order must be non-negative")
+    if isinstance(z_order, bool) or not isinstance(z_order, int) or z_order < 0:
+        raise ValueError(f"z-order must be a non-negative integer, got {z_order!r}")
     powers = [*islice(_diamond_powers(_xd_normal_form([0, 1])), z_order + 1)]
 
     em1 = EgfSeries([0] + [1] * z_order)  # e^z - 1

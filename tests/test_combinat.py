@@ -24,6 +24,8 @@ from opseries import (
     set_partitions,
     stirling2,
     unit_op,
+    verify_exp_identity,
+    verify_exp_identity_xd,
 )
 from opseries.combinat import MAX_BELL_BULLETS, _partition_sum
 
@@ -51,6 +53,21 @@ def partition_count_oracle(n):
         for total in range(part, n + 1):
             table[total] += table[total - part]
     return table[n]
+
+
+# each call read True as 1: set_partitions(True) returned a partition with m=True
+@pytest.mark.parametrize(
+    "call",
+    [lambda op: set_partitions(True), lambda op: integer_partitions(True),
+     lambda op: bell_polynomial(True), lambda op: IntPartition(True, (1,)),
+     lambda op: power_diamond(op, True), lambda op: bell_eval_bullet(True, op),
+     lambda op: verify_exp_identity(op, True), lambda op: verify_exp_identity_xd(True)],
+    ids=["set_partitions", "integer_partitions", "bell_polynomial", "IntPartition",
+         "power_diamond", "bell_eval_bullet", "verify_exp_identity", "verify_exp_identity_xd"],
+)
+def test_a_bool_size_is_refused(call):
+    with pytest.raises(ValueError, match="integer, got True"):
+        call(random_vector_field(RandomSpec(seed=1)))
 
 
 class TestSetPartitions:

@@ -19,6 +19,8 @@ from opseries import (
     unit_op,
 )
 
+import opseries.diffop as diffop_module
+import opseries.multipoly as multipoly_module
 from opseries.diffop import _circ_powers, _diamond_powers
 from test_multipoly import COEFFS, assert_unequal, polys
 
@@ -201,6 +203,59 @@ class TestProducts:
         two = MultiPoly(2, {(1, 0): -1, (0, 0): -2})
         op = DiffOp(2, {(0, 1): two, (0, 0): two, (1, 1): Fraction(-3, 4)})
         assert str(op) == "-3/4*d1*d2 + (-x1 - 2)*d2 + (-x1 - 2)"
+
+
+def symbol_reference(n, terms):
+    """The symbol as first built: one MultiPoly in 2n variables from (*alpha, *beta) keys."""
+    return MultiPoly(2 * n, {
+        (*alpha, *beta): c
+        for beta, u in terms.items()
+        for alpha, c in (u if isinstance(u, MultiPoly) else MultiPoly.const(n, u)).items()
+    })
+
+
+class TestConstructor:
+    """Each coefficient becomes one piece of the symbol, shifted by xi^beta."""
+
+    @given(
+        st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+            st.tuples(*(st.integers(0, 3) for _ in range(n))),
+            polys(n, 2, max_terms=3) | st.sampled_from([0, Fraction(-2, 3), "5/7"]),
+            max_size=3,
+        )))
+    )
+    def test_symbol_matches_the_reference_and_items_rebuild_the_operator(self, case):
+        n, terms = case
+        op = DiffOp(n, terms)
+        assert op._sym == symbol_reference(n, terms)
+        assert DiffOp(n, dict(op.items())) == op
+
+    def test_coefficients_over_different_denominators_and_a_zero(self):
+        x = MultiPoly.variable(1, 0)
+        terms = {(2,): x * Fraction(1, 2), (1,): MultiPoly.const(1, "2/3"),
+                 (0,): MultiPoly.zero(1), (3,): x * x * Fraction(-5, 4)}
+        op = DiffOp(1, terms)
+        assert op._sym == symbol_reference(1, terms)
+        assert op._sym._den == 12
+        assert [beta for beta, _ in op.items()] == [(3,), (2,), (1,)]
+        assert op.coefficient((0,)).is_zero()
+        assert op.coefficient((2,)) == x * Fraction(1, 2)
+
+    def test_checks_each_derivative_index_once_and_no_symbol_term(self, monkeypatch):
+        x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        terms = {(1, 0): x1 * x2 + x1 * Fraction(1, 3), (0, 2): x2 * x2 - x1, (0, 0): x1}
+        calls = []
+        for module in (multipoly_module, diffop_module):
+            original = module._check_exponents
+
+            def counted(alpha, n, what, original=original):
+                calls.append(what)
+                return original(alpha, n, what)
+
+            monkeypatch.setattr(module, "_check_exponents", counted)
+        op = DiffOp(2, terms)
+        assert calls == ["derivative multi-index"] * len(terms)
+        assert op._sym == symbol_reference(2, terms)
 
 
 class TestAgainstTheGeneratorSum:

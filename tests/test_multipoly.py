@@ -157,6 +157,12 @@ class TestBoundary:
         assert operand.__mul__(0.5) is NotImplemented
         assert operand.__rmul__(0.5) is NotImplemented
 
+    def test_a_fraction_coefficient_is_kept_as_it_is(self):
+        # a Fraction is immutable and reduced, so a computed series is not rebuilt
+        third = Fraction(1, 3)
+        assert EgfSeries([0, third]).coeffs[1] is third
+        assert EgfSeries([0, 2, "4/6"]).coeffs == (0, 2, Fraction(2, 3))
+
     @pytest.mark.parametrize("alpha", [(True,), (1.0,), (-1,), (1, 0)])
     def test_refuses_bad_exponents(self, alpha):
         with pytest.raises(ValueError, match="bad exponent vector"):

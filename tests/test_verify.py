@@ -418,6 +418,34 @@ class TestCheckersCanFail:
         reports = {r.theorem: r for r in verify_product_identities(RandomSpec(seed=1), 1)}
         assert reports["prop1.associator_symmetry"].passed is False
 
+    @staticmethod
+    def prop1_passed(label):
+        reports = {r.theorem: r for r in verify_product_identities(RandomSpec(seed=1), 1)}
+        return reports[label].passed
+
+    # X * Y + X is neither associative nor commutative: the two sides of an associativity
+    # label differ by a * c, those of prop1.bullet_comm by a - b
+    @pytest.mark.parametrize("product, label", [("diamond", "prop1.diamond_assoc"),
+                                                ("bullet", "prop1.bullet_assoc"),
+                                                ("bullet", "prop1.bullet_comm")])
+    def test_product_laws(self, monkeypatch, product, label):
+        original = getattr(DiffOp, product)
+        monkeypatch.setattr(DiffOp, product, lambda x, y: original(x, y) + x)
+        assert self.prop1_passed(label) is False
+
+    def test_associator(self, monkeypatch):
+        original = verify_module._associator
+        # the left side alone gains its first operand
+        monkeypatch.setattr(verify_module, "_associator",
+                            lambda x, y, z: original(x, y, z) + x)
+        assert self.prop1_passed("prop1.associator") is False
+
+    def test_leibniz(self, monkeypatch):
+        original = DiffOp.circ
+        # X o Y + Y: the left side gains b . c once, the right side gains it twice
+        monkeypatch.setattr(DiffOp, "circ", lambda x, y: original(x, y) + y)
+        assert self.prop1_passed("prop1.leibniz") is False
+
     def test_product_split(self, monkeypatch):
         original = DiffOp.bullet
         monkeypatch.setattr(DiffOp, "bullet", lambda x, y: original(x, y) + x)

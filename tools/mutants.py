@@ -87,10 +87,17 @@ MUTANTS = (
         "accumulate(repeat(op), lambda g, x: g.circ(x))",
     ),
     Mutant(
-        "MultiPoly.partial without the 2**31 bound its borrow test relies on",
+        "derivative multi-indices without the 2**31 bound MultiPoly.partial's borrow test "
+        "relies on",
         "src/opseries/multipoly.py",
-        'alpha = _check_exponents(alpha, self._n, "derivative multi-index")',
-        'alpha = _check_index(alpha, self._n, "derivative multi-index")',
+        "if max(alpha) >= _BOUND:",
+        'if max(alpha) >= _BOUND and what != "derivative multi-index":',
+    ),
+    Mutant(
+        "DiffOp.__init__ without the xi^beta shift: every coefficient lands at d^0",
+        "src/opseries/diffop.py",
+        "{a + xi: c for a, c in u._nums.items()}",
+        "dict(u._nums)",
     ),
     # each checker below passes when its right side is replaced by its left one,
     # unless a test breaks one ingredient of that side and expects a failure
