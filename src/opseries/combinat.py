@@ -24,7 +24,7 @@ from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 from .diffop import DiffOp, _block, _check_indices, _check_op_list, _circ_powers, unit_op
-from .multipoly import _graded_lex, _join_signed, _monomial_str, _term
+from .multipoly import _check_int, _graded_lex, _join_signed, _monomial_str, _term
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
 MAX_INT_PARTITION_SIZE = 40  # p(40) = 37,338; p(100) = 190,569,292 is out of reach
@@ -46,8 +46,7 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"ground set size must be a positive integer, got {self.m!r}")
+        _check_int(self.m, 1, "ground set size must be a positive integer")
         try:
             raw = tuple(self.blocks)
         except TypeError:
@@ -96,12 +95,11 @@ class IntPartition:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 0:
-            raise ValueError(f"partitioned integer must be a non-negative integer, got {self.m!r}")
-        mults = tuple(self.multiplicities)
+        _check_int(self.m, 0, "partitioned integer must be a non-negative integer")
+        mults = _multiplicities(self.multiplicities)
         object.__setattr__(self, "multiplicities", mults)
-        if len(mults) != self.m or any(l < 0 for l in mults):
-            raise ValueError(f"need {self.m} non-negative multiplicities, got {mults}")
+        if len(mults) != self.m:
+            raise ValueError(f"need {self.m} multiplicities, got {mults}")
         if sum((i + 1) * l for i, l in enumerate(mults)) != self.m:
             raise ValueError(f"multiplicities {mults} do not sum to {self.m}")
 
@@ -116,10 +114,15 @@ class IntPartition:
         )
 
 
+def _multiplicities(mults: Iterable[int]) -> tuple[int, ...]:
+    # the block-size multiplicities l_1, l_2, ... of a partition, each a count
+    contract = "each multiplicity must be a non-negative integer"
+    return tuple(_check_int(l, 0, contract) for l in mults)
+
+
 def set_partitions(m: int) -> list[SetPartition]:
     """All partitions of ``{1..m}``, duplicate-free, in restricted-growth order."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"ground set size must be a positive integer, got {m!r}")
+    _check_int(m, 1, "ground set size must be a positive integer")
     if m > MAX_SET_PARTITION_SIZE:
         raise ValueError(f"set partitions capped at m <= {MAX_SET_PARTITION_SIZE}, got {m}")
     out: list[SetPartition] = []
@@ -140,8 +143,7 @@ def set_partitions(m: int) -> list[SetPartition]:
 
 def integer_partitions(m: int) -> list[IntPartition]:
     """All integer partitions of ``m`` in multiplicity form."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"partitioned integer must be a positive integer, got {m!r}")
+    _check_int(m, 1, "partitioned integer must be a positive integer")
     if m > MAX_INT_PARTITION_SIZE:
         raise ValueError(f"integer partitions capped at m <= {MAX_INT_PARTITION_SIZE}, got {m}")
     out: list[IntPartition] = []
@@ -166,11 +168,7 @@ def partition_class_count(mults: Sequence[int] | IntPartition) -> int:
     For l_i blocks of size i this is ``m! / (prod l_i! * prod (i!)^l_i)``,
     which always divides evenly.
     """
-    if isinstance(mults, IntPartition):
-        mults = mults.multiplicities
-    mults = tuple(mults)
-    if any(l < 0 for l in mults):
-        raise ValueError(f"multiplicities must be non-negative, got {mults}")
+    mults = _multiplicities(mults.multiplicities if isinstance(mults, IntPartition) else mults)
     m = sum((i + 1) * l for i, l in enumerate(mults))
     denom = 1
     for i, l in enumerate(mults, start=1):
@@ -206,8 +204,7 @@ class BellPoly:
 
 def bell_polynomial(m: int) -> BellPoly:
     """The degree-m complete Bell polynomial with exact integer coefficients."""
-    if m < 1:
-        raise ValueError(f"degree must be positive, got {m}")
+    _check_int(m, 1, "degree must be a positive integer")
     return BellPoly(m, {p: partition_class_count(p) for p in integer_partitions(m)})
 
 
@@ -219,8 +216,7 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     ``G_1 = op`` and ``G_i = op o G_(i-1)``, ``m - 1`` circs and no diamond
     power.  ``m = 0`` gives the unit operator (empty product).
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {m!r}")
+    _check_int(m, 0, "degree must be a non-negative integer")
     if not op.is_first_order():
         raise ValueError("operator must be first order")
     n = op.n
@@ -289,8 +285,10 @@ def stirling2(m: int, k: int) -> int:
     """Stirling number of the second kind via the standard recurrence.
 
     ``S(m,k) = k*S(m-1,k) + S(m-1,k-1)`` with ``S(0,0) = 1``; out-of-range
-    arguments give 0.
+    arguments give 0; a non-int argument is refused.
     """
+    _check_int(m, -math.inf, "m must be an integer")
+    _check_int(k, -math.inf, "k must be an integer")
     if m < 0 or k < 0 or k > m:
         return 0
     row = [1]  # S(0, 0..0)

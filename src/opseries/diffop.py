@@ -46,10 +46,11 @@ type that validates its blocks.
 
 Input is checked once, where it enters: the public constructor checks each
 derivative index and shifts each coefficient, checked when it was built, to
-the piece ``u_beta xi^beta`` by adding the packed ``xi^beta`` to its keys;
-``MultiPoly.__add__`` sums the pieces.  Each operation checks its operands'
-variable counts.  Results wrap their symbol through the private
-``DiffOp._of_symbol`` and check nothing again.
+the piece ``u_beta xi^beta`` by adding the packed ``xi^beta`` to its keys.
+Distinct indices give distinct keys, so the pieces fill one numerator map
+over the lcm of their denominators with nothing to merge.  Each operation
+checks its operands' variable counts.  Results wrap their symbol through
+the private ``DiffOp._of_symbol`` and check nothing again.
 One private method, ``_groups()``, splits the symbol's terms by derivative
 index; ``items()``, ``coefficient()``, ``orders()`` and ``str()`` read it
 through that split, one reduced coefficient polynomial at a time.  The
@@ -59,6 +60,7 @@ products work on ``MultiPoly``'s packed storage (``_nums``, ``_den``,
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -68,7 +70,9 @@ from .multipoly import (
     MultiPoly,
     Scalar,
     W,
+    _VARIABLE_COUNT,
     _check_exponents,
+    _check_int,
     _check_same_n,
     _graded_lex,
     _is_scalar,
@@ -97,17 +101,18 @@ class DiffOp:
     __slots__ = ("_n", "_sym")
 
     def __init__(self, n: int, terms: Mapping[MultiIndex, MultiPoly | Scalar] | None = None):
-        if n < 1:
-            raise ValueError(f"variable count must be positive, got {n}")
-        sym = MultiPoly.zero(2 * n)  # sum_beta u_beta xi^beta, one piece per coefficient
+        _check_int(n, 1, _VARIABLE_COUNT)
+        pieces = []  # (packed xi^beta, u_beta) per coefficient: distinct betas, distinct keys
         for beta, u in (terms or {}).items():
             xi = _pack(_check_exponents(beta, n, "derivative multi-index")) << (W * n)
             if not isinstance(u, MultiPoly):
                 u = MultiPoly.const(n, u)
             _check_same_n(n, u.n)
-            sym += MultiPoly._reduced(2 * n, {a + xi: c for a, c in u._nums.items()}, u._den)
+            pieces.append((xi, u))
+        den = math.lcm(*(u._den for _, u in pieces))
+        nums = {a + xi: c * (den // u._den) for xi, u in pieces for a, c in u._nums.items()}
         self._n = n
-        self._sym = sym
+        self._sym = MultiPoly._reduced(2 * n, nums, den)
 
     @classmethod
     def _of_symbol(cls, n: int, sym: MultiPoly) -> DiffOp:
@@ -283,7 +288,7 @@ class DiffOp:
 
 def unit_op(n: int) -> DiffOp:
     """The operator ``1 * d^0``: two-sided identity for diamond, left identity for circ."""
-    return DiffOp(n, {(0,) * n: MultiPoly.const(n, 1)})
+    return DiffOp.single(MultiPoly.const(n, 1), (0,) * n)
 
 
 def _check_op_list(ops: Sequence[DiffOp]) -> int:
@@ -305,8 +310,7 @@ def _check_indices(indices: Iterable[int]) -> tuple[int, ...]:
     except TypeError:
         raise ValueError(f"indices must be an iterable of labels, got {indices!r}") from None
     for i in indices:
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise ValueError(f"indices must be integers (not bools), got {i!r}")
+        _check_int(i, -math.inf, "indices must be integers")
     return indices
 
 
@@ -371,6 +375,5 @@ def _circ_powers(op: DiffOp) -> Iterator[DiffOp]:
 
 def power_diamond(op: DiffOp, m: int) -> DiffOp:
     """m-fold composition power; the empty product is the unit operator."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValueError(f"power must be a non-negative integer, got {m!r}")
+    _check_int(m, 0, "power must be a non-negative integer")
     return next(islice(_diamond_powers(op), m, None))

@@ -147,6 +147,19 @@ def _scalar(c: object) -> Fraction:
     raise ValueError(f'bad coefficient {c!r}: need an int, Fraction or "p/q" string')
 
 
+def _check_int(value: object, least: float, contract: str, most: float = math.inf) -> int:
+    # the contract on every count, order, degree and index: a bool or float is not read as
+    # an int, and the int must lie in least..most (an infinite bound leaves that side open)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{contract}, got {value!r} (a {type(value).__name__})")
+    if not least <= value <= most:
+        raise ValueError(f"{contract}, got {value!r}")
+    return value
+
+
+_VARIABLE_COUNT = "variable count must be positive"  # the contract on every n
+
+
 def _is_scalar(c: object) -> bool:
     # whether c is the factor of a scalar product (an int or Fraction); a bool
     # is refused with the coefficient contract's error, not read as 0 or 1
@@ -197,8 +210,7 @@ class MultiPoly:
     __slots__ = ("_n", "_nums", "_den")
 
     def __init__(self, n: int, terms: Mapping[MultiIndex, Scalar | str] | None = None):
-        if n < 1:
-            raise ValueError(f"variable count must be positive, got {n}")
+        _check_int(n, 1, _VARIABLE_COUNT)
         coeffs: dict[int, Fraction] = {}
         for alpha, c in (terms or {}).items():
             key = _pack(_check_exponents(alpha, n, "exponent vector"))
@@ -237,13 +249,13 @@ class MultiPoly:
 
     @classmethod
     def const(cls, n: int, value: Scalar | str) -> MultiPoly:
-        return cls(n, {(0,) * n: value})
+        return cls(n, {(0,) * _check_int(n, 1, _VARIABLE_COUNT): value})
 
     @classmethod
     def variable(cls, n: int, i: int) -> MultiPoly:
         """The polynomial x_{i+1} (index ``i`` is 0-based)."""
-        if not 0 <= i < n:
-            raise ValueError(f"variable index {i} out of range for {n} variables")
+        n = _check_int(n, 1, _VARIABLE_COUNT)
+        _check_int(i, 0, f"variable index must lie in 0..{n - 1}", n - 1)
         alpha = tuple(1 if j == i else 0 for j in range(n))
         return cls(n, {alpha: 1})
 

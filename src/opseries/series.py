@@ -29,8 +29,9 @@ constant term and invertible linear coefficient:
 
 Their shared precondition is checked once per public entry point: the series
 (``a_0 = 0``, ``a_1 != 0``, valid far enough) by ``_as_invertible``, the order
-by ``_check_inverse_order``.  ``log_form_inverse`` leaves the series check to
-``log_form_terms``, and ``verify_inversion`` leaves it to ``classical_inverse``.
+by ``multipoly._check_int``, the one contract on every integer argument.
+``log_form_inverse`` leaves the series check to ``log_form_terms``, and
+``verify_inversion`` leaves it to ``classical_inverse``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,13 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .multipoly import Scalar, _is_scalar, _join_signed, _scalar, _term
+from .multipoly import Scalar, _check_int, _is_scalar, _join_signed, _scalar, _term
 
 T = TypeVar("T")
+
+# the contracts on a series order and on an inverse order, for multipoly._check_int
+_SERIES_ORDER = "series order must be an integer >= 0"
+_INVERSE_ORDER = "inverse order must be >= 1"
 
 
 def _exp_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], one: T) -> list[T]:
@@ -105,23 +110,22 @@ class EgfSeries:
 
     @classmethod
     def zero(cls, order: int) -> EgfSeries:
-        return cls([0] * (order + 1))
+        return cls([0] * (_check_int(order, 0, _SERIES_ORDER) + 1))
 
     @classmethod
     def one(cls, order: int) -> EgfSeries:
-        return cls([1] + [0] * order)
+        return cls([1] + [0] * _check_int(order, 0, _SERIES_ORDER))
 
     @classmethod
     def identity(cls, order: int) -> EgfSeries:
         """The series x, the unit for composition."""
-        if order < 1:
-            raise ValueError("the identity series needs order >= 1")
+        _check_int(order, 1, "the identity series needs order >= 1")
         return cls([0, 1] + [0] * (order - 1))
 
     @classmethod
     def exp_x(cls, order: int) -> EgfSeries:
         """e^x truncated at the given order (all coefficients 1)."""
-        return cls([1] * (order + 1))
+        return cls([1] * (_check_int(order, 0, _SERIES_ORDER) + 1))
 
     @property
     def order(self) -> int:
@@ -137,19 +141,14 @@ class EgfSeries:
         return self._coeffs[m]
 
     def truncate(self, order: int) -> EgfSeries:
-        if order > self.order:
-            raise ValueError(f"cannot extend a series of order {self.order} to {order}")
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        _check_int(order, 0, f"truncation order must lie in 0..{self.order}", self.order)
         return EgfSeries(self._coeffs[: order + 1])
 
     def agrees_with(self, other: EgfSeries, order: int | None = None) -> bool:
         """Coefficientwise equality up to ``order`` (default: the smaller order)."""
         upto = min(self.order, other.order)
         if order is not None:
-            if order > upto:
-                raise ValueError(f"order {order} exceeds shared valid order {upto}")
-            upto = order
+            upto = _check_int(order, 0, f"compared order must lie in 0..{upto}", upto)
         return self._coeffs[: upto + 1] == other._coeffs[: upto + 1]
 
     def __add__(self, other: EgfSeries) -> EgfSeries:
@@ -263,11 +262,6 @@ def _as_invertible(f: EgfSeries, needed: int = 1) -> None:
         raise ValueError(f"input series must be valid to order {needed}, has {f.order}")
 
 
-def _check_inverse_order(order: int) -> None:
-    if order < 1:
-        raise ValueError(f"inverse order must be >= 1, got {order}")
-
-
 def _iterates(f: EgfSeries, start: EgfSeries | None = None) -> Iterator[EgfSeries]:
     # start (default 1/f') and its images under s -> (1/f') * s', without end;
     # callers take as many as the start's order allows
@@ -286,7 +280,7 @@ def classical_inverse(f: EgfSeries, order: int) -> EgfSeries:
     coefficient shift ``(f/x)_m = a_{m+1}/(m+1)``, then one reciprocal.
     Needs ``f`` valid to ``order + 1``.
     """
-    _check_inverse_order(order)
+    _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order + 1)
     shifted = EgfSeries(f.coeffs[m + 1] / (m + 1) for m in range(order + 1))
     w = shifted.reciprocal()  # x/f, valid to `order`
@@ -303,15 +297,8 @@ def operator_iterate(f: EgfSeries, start: EgfSeries, count: int) -> EgfSeries:
     enough for the 1/f' factor not to be the binding truncation).
     """
     _as_invertible(f)
-    if count < 0:
-        raise ValueError("iteration count must be non-negative")
-    if count > start.order:
-        raise ValueError(
-            f"series order exhausted: {count} applications need start order >= {count}, "
-            f"have {start.order}"
-        )
-    if count == 0:
-        return start
+    _check_int(count, 0, f"iteration count must lie in 0..{start.order} (the start order)",
+               start.order)
     return next(islice(_iterates(f, start), count, None))
 
 
@@ -321,7 +308,7 @@ def operator_inverse(f: EgfSeries, order: int) -> EgfSeries:
     ``b_n`` is the constant term after ``n-1`` applications of
     ``(1/f') d/dx`` to ``1/f'``.  Needs ``f`` valid to ``order + 1``.
     """
-    _check_inverse_order(order)
+    _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order + 1)
     return EgfSeries([Fraction(0)] + [s[0] for s in islice(_iterates(f), order)])
 
@@ -333,15 +320,13 @@ def log_form_terms(f: EgfSeries, order: int) -> EgfSeries:
     coefficient 0 is always 1, so the result is a valid ``ln`` input.
     Needs ``f`` valid to ``order + 1``.
     """
-    _as_invertible(f, order + 1)
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    _as_invertible(f, _check_int(order, 0, _SERIES_ORDER) + 1)
     return EgfSeries(s[0] for s in islice(_iterates(f, EgfSeries.exp_x(order)), order + 1))
 
 
 def log_form_inverse(f: EgfSeries, order: int) -> EgfSeries:
     """Compositional inverse as the log of the operator-iterate series."""
-    _check_inverse_order(order)  # log_form_terms checks the series
+    _check_int(order, 1, _INVERSE_ORDER)  # log_form_terms checks the series
     return log_form_terms(f, order).ln()
 
 
@@ -357,7 +342,7 @@ def newton_inverse(f: EgfSeries, order: int) -> EgfSeries:
     ``ln``, so it stays independent of the other three algorithms; needs
     ``f`` valid to ``order``.
     """
-    _check_inverse_order(order)
+    _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order)
     a = f.coeffs
     out = [Fraction(0)] * (order + 1)
@@ -407,8 +392,7 @@ def from_json_dict(data: dict) -> EgfSeries:
         raw = data["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"series object needs convention/order/coeffs: {exc}") from exc
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise ValueError(f"series order must be an integer, got {order!r}")
+    _check_int(order, 0, _SERIES_ORDER)
     if not isinstance(raw, list):
         raise ValueError(f"series coeffs must be a list, got {raw!r}")
     try:

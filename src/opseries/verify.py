@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling2
 from .diffop import (DiffOp, _check_op_list, _circ_powers, _diamond_powers, diamond_chain,
                      power_diamond, unit_op)
-from .multipoly import MultiIndex, MultiPoly
+from .multipoly import MultiIndex, MultiPoly, _check_int
 from .series import (
     EgfSeries,
     _exp_recurrence,
@@ -46,6 +46,7 @@ DEFAULT_POOL = (
 LEAD_POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2))
 
 STIRLING_POWER_CAP = 10
+_Z_ORDER = "z-order must be a non-negative integer"
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,11 @@ class RandomSpec:
     seed: int
     n: int = 2
     max_degree: int = 2
+
+    def __post_init__(self):
+        _check_int(self.seed, -math.inf, "seed must be an integer")
+        _check_int(self.n, 1, "variable count n must be at least 1")
+        _check_int(self.max_degree, 0, "degree bound must be non-negative")
 
 
 @dataclass
@@ -153,16 +159,19 @@ def random_vector_field(spec: RandomSpec) -> DiffOp:
 
 def random_diffop(spec: RandomSpec, max_order: int = 2) -> DiffOp:
     """Operator with random terms of derivative order up to ``max_order``."""
+    _check_int(max_order, 0, "derivative order bound must be non-negative")
     return _diffop_from_rng(random.Random(spec.seed), spec, max_order)
 
 
 def random_op_list(spec: RandomSpec, m: int) -> list[DiffOp]:
     """m first-order operators drawn from one seeded stream."""
+    _check_int(m, 0, "operator count m must be non-negative")
     return _op_list_from_rng(random.Random(spec.seed), spec, m)
 
 
 def random_invertible_series(spec: RandomSpec, order: int) -> EgfSeries:
     """Invertible series of the given order with pool coefficients."""
+    _check_int(order, 1, "an invertible series needs order >= 1")
     return _series_from_rng(random.Random(spec.seed), order)
 
 
@@ -273,8 +282,7 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
     started = time.perf_counter()
     if not op.is_first_order():
         raise ValueError("operator must be first order")
-    if isinstance(z_order, bool) or not isinstance(z_order, int) or z_order < 0:
-        raise ValueError(f"z-order must be a non-negative integer, got {z_order!r}")
+    _check_int(z_order, 0, _Z_ORDER)
     zero = DiffOp.zero(op.n)
     powers = [*islice(_diamond_powers(op), z_order + 1)]
     inner = [zero, *islice(_circ_powers(op), z_order)]
@@ -297,8 +305,7 @@ def verify_exp_identity_xd(z_order: int) -> VerifyReport:
     algebra to series algebra.
     """
     started = time.perf_counter()
-    if isinstance(z_order, bool) or not isinstance(z_order, int) or z_order < 0:
-        raise ValueError(f"z-order must be a non-negative integer, got {z_order!r}")
+    _check_int(z_order, 0, _Z_ORDER)
     powers = [*islice(_diamond_powers(_xd_normal_form([0, 1])), z_order + 1)]
 
     em1 = EgfSeries([0] + [1] * z_order)  # e^z - 1
@@ -314,8 +321,7 @@ def verify_exp_identity_xd(z_order: int) -> VerifyReport:
 def verify_stirling_power(m: int, description: str = "") -> VerifyReport:
     """Composition powers of x*d vs. the Stirling-weighted normal form."""
     started = time.perf_counter()
-    if not 1 <= m <= STIRLING_POWER_CAP:
-        raise ValueError(f"m must lie in 1..{STIRLING_POWER_CAP}, got {m}")
+    _check_int(m, 1, f"m must lie in 1..{STIRLING_POWER_CAP}", STIRLING_POWER_CAP)
     lhs = power_diamond(_xd_normal_form([0, 1]), m)
     rhs = _xd_normal_form(stirling2(m, k) for k in range(m + 1))
     desc = f"{description} m={m}".strip()
@@ -393,12 +399,8 @@ def run_suite(
     reads at most one size, ``m`` or ``order`` (see ``SUITES``); the
     other is refused, and an unset one takes the suite's default.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if n < 1:
-        raise ValueError(f"variable count n must be at least 1, got {n}")
-    if degree < 0:
-        raise ValueError(f"degree bound must be non-negative, got {degree}")
+    spec = RandomSpec(seed=seed, n=n, max_degree=degree)
+    _check_int(trials, 1, "trials must be at least 1")
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     flag, default, run = SUITES[name]
@@ -408,5 +410,5 @@ def run_suite(
             reads = f"--{flag}" if flag else "no size flag"
             raise ValueError(f"suite {name!r} does not read --{given}; it reads {reads}")
     size = sizes.get(flag)
-    spec = RandomSpec(seed=seed, n=n, max_degree=degree)
-    return run(spec, trials, default if size is None else size)
+    size = default if size is None else _check_int(size, 0, f"--{flag} must be an integer >= 0")
+    return run(spec, trials, size)

@@ -1,31 +1,41 @@
 """Partition enumeration, Bell polynomials and Stirling numbers."""
 
 import math
+import re
 from collections import Counter
 from functools import reduce
 
 import pytest
 
 from opseries import (
+    INVERSE_METHODS,
     BellPoly,
     DiffOp,
+    EgfSeries,
     IntPartition,
     MultiPoly,
     RandomSpec,
     SetPartition,
     bell_eval_bullet,
     bell_polynomial,
+    from_json_dict,
     integer_partitions,
+    log_form_terms,
+    operator_iterate,
     partition_class_count,
     partition_operator,
     power_diamond,
+    random_diffop,
+    random_invertible_series,
     random_op_list,
     random_vector_field,
+    run_suite,
     set_partitions,
     stirling2,
     unit_op,
     verify_exp_identity,
     verify_exp_identity_xd,
+    verify_stirling_power,
 )
 from opseries.combinat import MAX_BELL_BULLETS, _partition_sum
 
@@ -61,13 +71,95 @@ def partition_count_oracle(n):
     [lambda op: set_partitions(True), lambda op: integer_partitions(True),
      lambda op: bell_polynomial(True), lambda op: IntPartition(True, (1,)),
      lambda op: power_diamond(op, True), lambda op: bell_eval_bullet(True, op),
-     lambda op: verify_exp_identity(op, True), lambda op: verify_exp_identity_xd(True)],
+     lambda op: verify_exp_identity(op, True), lambda op: verify_exp_identity_xd(True),
+     lambda op: SetPartition(True, ((1,),)), lambda op: IntPartition(1, (True,)),
+     lambda op: partition_class_count((True,)), lambda op: stirling2(True, 1),
+     lambda op: stirling2(1, True), lambda op: RandomSpec(seed=True)],
     ids=["set_partitions", "integer_partitions", "bell_polynomial", "IntPartition",
-         "power_diamond", "bell_eval_bullet", "verify_exp_identity", "verify_exp_identity_xd"],
+         "power_diamond", "bell_eval_bullet", "verify_exp_identity", "verify_exp_identity_xd",
+         "SetPartition", "IntPartition_multiplicity", "partition_class_count", "stirling2_m",
+         "stirling2_k", "RandomSpec_seed"],
 )
 def test_a_bool_size_is_refused(call):
     with pytest.raises(ValueError, match="integer, got True"):
         call(random_vector_field(RandomSpec(seed=1)))
+
+
+F = EgfSeries([0, 1, 1, 1, 1, 1])  # invertible, valid to order 5
+X1D1 = DiffOp(1, {(1,): MultiPoly.variable(1, 0)})  # first order
+SERIES_ORDER = "series order must be an integer >= 0"
+# every integer argument of the public API: a call that passes it the bad value, and the
+# contract the refusal names
+INTEGER_ARGUMENTS = {
+    "MultiPoly": (lambda v: MultiPoly(v), "variable count must be positive"),
+    "MultiPoly.const": (lambda v: MultiPoly.const(v, 1), "variable count must be positive"),
+    "MultiPoly.variable_n": (lambda v: MultiPoly.variable(v, 0),
+                             "variable count must be positive"),
+    "MultiPoly.variable_i": (lambda v: MultiPoly.variable(3, v),
+                             "variable index must lie in 0..2"),
+    "DiffOp": (lambda v: DiffOp(v), "variable count must be positive"),
+    "unit_op": (lambda v: unit_op(v), "variable count must be positive"),
+    "power_diamond": (lambda v: power_diamond(X1D1, v), "power must be a non-negative integer"),
+    "SetPartition": (lambda v: SetPartition(v, ((1,),)),
+                     "ground set size must be a positive integer"),
+    "IntPartition_m": (lambda v: IntPartition(v, (1,)),
+                       "partitioned integer must be a non-negative integer"),
+    "IntPartition_multiplicity": (lambda v: IntPartition(1, (v,)),
+                                  "each multiplicity must be a non-negative integer"),
+    "set_partitions": (set_partitions, "ground set size must be a positive integer"),
+    "integer_partitions": (integer_partitions, "partitioned integer must be a positive integer"),
+    "bell_polynomial": (bell_polynomial, "degree must be a positive integer"),
+    "bell_eval_bullet": (lambda v: bell_eval_bullet(v, X1D1),
+                         "degree must be a non-negative integer"),
+    "partition_class_count": (lambda v: partition_class_count((v,)),
+                              "each multiplicity must be a non-negative integer"),
+    "stirling2_m": (lambda v: stirling2(v, 1), "m must be an integer"),
+    "stirling2_k": (lambda v: stirling2(1, v), "k must be an integer"),
+    **{name: (lambda v, fn=fn: fn(F, v), "inverse order must be >= 1")
+       for name, fn in INVERSE_METHODS.items()},
+    "log_form_terms": (lambda v: log_form_terms(F, v), SERIES_ORDER),
+    "operator_iterate": (lambda v: operator_iterate(F, EgfSeries.exp_x(3), v),
+                         "iteration count must lie in 0..3 (the start order)"),
+    "EgfSeries.zero": (EgfSeries.zero, SERIES_ORDER),
+    "EgfSeries.one": (EgfSeries.one, SERIES_ORDER),
+    "EgfSeries.exp_x": (EgfSeries.exp_x, SERIES_ORDER),
+    "EgfSeries.identity": (EgfSeries.identity, "the identity series needs order >= 1"),
+    "EgfSeries.truncate": (F.truncate, "truncation order must lie in 0..5"),
+    "EgfSeries.agrees_with": (lambda v: F.agrees_with(F, v), "compared order must lie in 0..5"),
+    "from_json_dict": (lambda v: from_json_dict({"convention": "egf", "order": v,
+                                                 "coeffs": ["0", "1", "1"]}), SERIES_ORDER),
+    "verify_exp_identity": (lambda v: verify_exp_identity(X1D1, v),
+                            "z-order must be a non-negative integer"),
+    "verify_exp_identity_xd": (verify_exp_identity_xd, "z-order must be a non-negative integer"),
+    "verify_stirling_power": (verify_stirling_power, "m must lie in 1..10"),
+    "run_suite_trials": (lambda v: run_suite("prop1", trials=v), "trials must be at least 1"),
+    "run_suite_seed": (lambda v: run_suite("prop1", seed=v), "seed must be an integer"),
+    "run_suite_n": (lambda v: run_suite("prop1", n=v), "variable count n must be at least 1"),
+    "run_suite_degree": (lambda v: run_suite("prop1", degree=v),
+                         "degree bound must be non-negative"),
+    "run_suite_m": (lambda v: run_suite("compos", m=v), "--m must be an integer >= 0"),
+    "run_suite_order": (lambda v: run_suite("inversion", order=v),
+                        "--order must be an integer >= 0"),
+    "RandomSpec_seed": (lambda v: RandomSpec(seed=v), "seed must be an integer"),
+    "RandomSpec_n": (lambda v: RandomSpec(seed=1, n=v), "variable count n must be at least 1"),
+    "RandomSpec_max_degree": (lambda v: RandomSpec(seed=1, max_degree=v),
+                              "degree bound must be non-negative"),
+    "random_diffop": (lambda v: random_diffop(RandomSpec(seed=1), v),
+                      "derivative order bound must be non-negative"),
+    "random_op_list": (lambda v: random_op_list(RandomSpec(seed=1), v),
+                       "operator count m must be non-negative"),
+    "random_invertible_series": (lambda v: random_invertible_series(RandomSpec(seed=1), v),
+                                 "an invertible series needs order >= 1"),
+}
+
+
+# each was read as an int (True as 1, 2.0 as 2), or leaked a TypeError or struct.error
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("site", list(INTEGER_ARGUMENTS))
+def test_an_integer_argument_refuses_a_bool_and_a_float(site, bad):
+    call, contract = INTEGER_ARGUMENTS[site]
+    with pytest.raises(ValueError, match=re.escape(f"{contract}, got {bad!r}")):
+        call(bad)
 
 
 class TestSetPartitions:

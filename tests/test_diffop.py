@@ -241,6 +241,22 @@ class TestConstructor:
         assert op.coefficient((0,)).is_zero()
         assert op.coefficient((2,)) == x * Fraction(1, 2)
 
+    def test_sums_its_pieces_without_a_polynomial_sum(self, monkeypatch):
+        # each piece u_beta xi^beta lands in one numerator map: an add per piece would copy
+        # the running sum, which is quadratic in the number of derivative indices
+        x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        terms = {(1, 0): x1 * Fraction(1, 6), (0, 1): x2 * Fraction(-3, 4), (2, 1): "2/9",
+                 (0, 0): x1 * x2 + x1, (3, 0): MultiPoly.zero(2)}
+        expected = symbol_reference(2, terms)
+
+        def refuse(self, other):
+            raise AssertionError("DiffOp.__init__ summed its pieces with MultiPoly.__add__")
+
+        monkeypatch.setattr(MultiPoly, "__add__", refuse)
+        op = DiffOp(2, terms)
+        assert op._sym == expected and op._sym._den == 36
+        assert DiffOp(2).is_zero()
+
     def test_checks_each_derivative_index_once_and_no_symbol_term(self, monkeypatch):
         x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
         terms = {(1, 0): x1 * x2 + x1 * Fraction(1, 3), (0, 2): x2 * x2 - x1, (0, 0): x1}

@@ -163,6 +163,12 @@ class TestBoundary:
         assert EgfSeries([0, third]).coeffs[1] is third
         assert EgfSeries([0, 2, "4/6"]).coeffs == (0, 2, Fraction(2, 3))
 
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_variable_refuses_an_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match=rf"variable index must lie in 0\.\.1, got {i}"):
+            MultiPoly.variable(2, i)
+        assert MultiPoly.variable(2, 1) == MultiPoly(2, {(0, 1): 1})
+
     @pytest.mark.parametrize("alpha", [(True,), (1.0,), (-1,), (1, 0)])
     def test_refuses_bad_exponents(self, alpha):
         with pytest.raises(ValueError, match="bad exponent vector"):

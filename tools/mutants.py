@@ -96,8 +96,20 @@ MUTANTS = (
     Mutant(
         "DiffOp.__init__ without the xi^beta shift: every coefficient lands at d^0",
         "src/opseries/diffop.py",
-        "{a + xi: c for a, c in u._nums.items()}",
-        "dict(u._nums)",
+        "nums = {a + xi: c * (den // u._den)",
+        "nums = {a: c * (den // u._den)",
+    ),
+    Mutant(
+        "the integer contract reads a bool as an int (True as 1)",
+        "src/opseries/multipoly.py",
+        "if isinstance(value, bool) or not isinstance(value, int):",
+        "if not isinstance(value, int):",
+    ),
+    Mutant(
+        "the integer contract without its upper bound",
+        "src/opseries/multipoly.py",
+        "if not least <= value <= most:",
+        "if not least <= value:",
     ),
     # each checker below passes when its right side is replaced by its left one,
     # unless a test breaks one ingredient of that side and expects a failure
