@@ -20,7 +20,12 @@ recorded from the code before the term renderers of ``MultiPoly``,
 ``bellpower --m 10`` case (high derivative orders) and the ``compos --n 3``
 case (three variables) were recorded from the code that still stored an
 operator as a map from derivative index to coefficient polynomial, before
-it moved to one symbol polynomial in ``2n`` variables.
+it moved to one symbol polynomial in ``2n`` variables.  The
+``prop1 --n 3 --degree 3 --seed 5`` case (multi-term coefficients with
+fractional, negative and unit numerators at ``d^0`` and higher indices)
+was recorded from the code that still rendered each operator through a
+reduced coefficient polynomial and a ``Fraction`` per term, before the
+renderers moved to reading the integer numerators directly.
 """
 
 import hashlib
@@ -66,6 +71,8 @@ GOLDEN = [
     (["verify", "prop1", "--trials", "3", "--n", "3", "--degree", "3", "--seed", "7",
       "--format", "json"],
      "9bf36ca2c01ed35c3f83b74a8d4867161816d21053b68ffb3d38359ed58496e4"),
+    (["verify", "prop1", "--n", "3", "--degree", "3", "--seed", "5", "--format", "json"],
+     "4c97302b2f99dd937cbeed3ad6a49989b7d4cdb72549e62ed54413d93bb95a9c"),
     (["verify", "bellpower"] + VERIFY,
      "a5a2feee9d449d7f94c84ef968bd364091abf7e88c2ecc202ee7d98200d80e00"),
     (["verify", "bellpower", "--m", "10", "--seed", "3", "--format", "json"],
