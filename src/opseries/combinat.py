@@ -23,7 +23,9 @@ from functools import reduce
 from itertools import combinations, islice
 from typing import Iterable, Sequence
 
-from .diffop import DiffOp, _block, _check_indices, _check_op_list, _circ_powers, unit_op
+from .diffop import (
+    DiffOp, _block, _check_indices, _check_op_list, _circ_powers, _sum, unit_op,
+)
 from .multipoly import _check_int, _graded_lex, _join_signed, _monomial_str, _term
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
@@ -198,7 +200,7 @@ class BellPoly:
 
     def __str__(self) -> str:
         return _join_signed(
-            [_term(count, _monomial_str(part.multiplicities)) for part, count in self.items()]
+            [_term(count, 1, _monomial_str(part.multiplicities)) for part, count in self.items()]
         )
 
 
@@ -268,15 +270,21 @@ def _partition_sum(
     # sum over the set partitions of a sorted index tuple S of the bullet product of their
     # block operators, peeling the block B that holds min(S) (the exponential formula):
     # P(S) = block(S) + sum over B != S of block(B) . P(S \ B); blocks and sums keep each
-    # block and each P once, so every subset of 2..m is summed once for all its supersets
+    # block and each P once, so every subset of 2..m is summed once for all its supersets.
+    # The bullets stream into one _sum, each merged as it is formed, so a subset of two or
+    # more labels costs one numerator map and one + however many partitions it has; the
+    # sum is the left operand, whose map + clones whole, which peaks lower than merging it
+    # into a copy of the smaller block(S)
     if subset not in sums:
         head, rest = subset[0], subset[1:]
         total = _block(ops, subset, blocks)
-        for size in range(len(rest)):  # a proper tail of B leaves S \ B non-empty
-            for tail in combinations(rest, size):
-                others = tuple(i for i in rest if i not in tail)
-                block = _block(ops, (head, *tail), blocks)
-                total = total + block.bullet(_partition_sum(ops, others, blocks, sums))
+        if rest:
+            bullets = (  # a proper tail of B leaves S \ B non-empty
+                _block(ops, (head, *tail), blocks).bullet(
+                    _partition_sum(ops, tuple(i for i in rest if i not in tail), blocks, sums))
+                for size in range(len(rest)) for tail in combinations(rest, size)
+            )
+            total = _sum(total.n, bullets) + total
         sums[subset] = total
     return sums[subset]
 

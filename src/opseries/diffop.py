@@ -52,10 +52,15 @@ over the lcm of their denominators with nothing to merge.  Each operation
 checks its operands' variable counts.  Results wrap their symbol through
 the private ``DiffOp._of_symbol`` and check nothing again.
 One private method, ``_groups()``, splits the symbol's terms by derivative
-index; ``items()``, ``coefficient()``, ``orders()`` and ``str()`` read it
-through that split, one reduced coefficient polynomial at a time.  The
-products work on ``MultiPoly``'s packed storage (``_nums``, ``_den``,
-``_reduced``, ``_mul_into``); nothing outside this module sees the symbol.
+index; ``items()``, ``coefficient()`` and ``orders()`` read it through that
+split, one reduced coefficient polynomial at a time.  ``str()`` reads the
+same split but builds no coefficient polynomial and no ``Fraction``: each
+term is its numerator over the symbol's denominator, put in lowest terms
+by one gcd.  The products work on ``MultiPoly``'s packed storage
+(``_nums``, ``_den``, ``_reduced``, ``_mul_into``), and so does the private
+n-ary sum ``_sum``, which merges a stream of operators into one numerator
+map over a running denominator and reduces once; nothing outside this
+module sees the symbol.
 """
 
 from __future__ import annotations
@@ -76,10 +81,10 @@ from .multipoly import (
     _check_same_n,
     _graded_lex,
     _is_scalar,
-    _items_str,
     _join_signed,
     _monomial_str,
     _mul_into,
+    _nums_str,
     _pack,
     _product_result,
     _term,
@@ -271,15 +276,19 @@ class DiffOp:
     def __str__(self) -> str:
         # a one-term coefficient c*x^alpha merges into its term; a longer one
         # is a parenthesised factor with scalar one, so it carries no sign
+        n, den = self._n, self._sym._den
+        mask = (1 << (W * n)) - 1
+        groups = self._groups()
         parts = []
-        for beta, u in self._terms():
-            if len(terms := u.items()) == 1:
+        for beta, a in _graded_lex((_unpack(a, n), a) for a in groups):
+            terms = [(_unpack(key & mask, n), c) for key, c in groups[a].items()]
+            if len(terms) == 1:
                 ((alpha, c),) = terms
-                mono = _monomial_str(alpha)
+                mono, d = _monomial_str(alpha), den
             else:
-                c, mono = 1, f"({_items_str(terms)})"
+                c, d, mono = 1, 1, f"({_nums_str(terms, den)})"
             dpart = _monomial_str(beta, "d")
-            parts.append(_term(c, f"{mono}*{dpart}" if mono and dpart else mono or dpart))
+            parts.append(_term(c, d, f"{mono}*{dpart}" if mono and dpart else mono or dpart))
         return _join_signed(parts)
 
     def __repr__(self) -> str:
@@ -289,6 +298,28 @@ class DiffOp:
 def unit_op(n: int) -> DiffOp:
     """The operator ``1 * d^0``: two-sided identity for diamond, left identity for circ."""
     return DiffOp.single(MultiPoly.const(n, 1), (0,) * n)
+
+
+def _sum(n: int, ops: Iterable[DiffOp]) -> DiffOp:
+    # the sum of operators over n variables, each merged as it comes into one numerator map
+    # over a running denominator, which grows (and the map is rescaled in place) only when an
+    # addend's denominator does not divide it; one _reduced at the end.  ops may be a lazy
+    # generator: no addend is kept once merged
+    nums: dict[int, int] = {}
+    den = 1
+    for op in ops:
+        _check_same_n(n, op._n)
+        sym = op._sym
+        k, r = divmod(den, sym._den)
+        if r:
+            grown = math.lcm(den, sym._den)
+            s = grown // den
+            for key, c in nums.items():
+                nums[key] = c * s
+            den, k = grown, grown // sym._den
+        for key, c in sym._nums.items():
+            nums[key] = nums.get(key, 0) + c * k
+    return DiffOp._of_symbol(n, MultiPoly._reduced(2 * n, nums, den))
 
 
 def _check_op_list(ops: Sequence[DiffOp]) -> int:

@@ -25,7 +25,8 @@ Rationals appear only at the boundary.  The public constructor takes
 ints, ``Fraction``s and ``"p/q"`` strings; ``items()``, ``coefficient()``
 and ``constant_term()`` hand back reduced ``fractions.Fraction`` values,
 which makes all the identity checks elsewhere in the package plain
-equality tests.
+equality tests.  ``str()`` forms no ``Fraction``: it renders each stored
+numerator over the shared denominator, in lowest terms by one gcd.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def _scaled(nums: Mapping[int, int], k: int) -> dict[int, int]:
 
 
 # the one term format: MultiPoly, DiffOp, EgfSeries and BellPoly list their terms
-# in _graded_lex order, build each through _term and join them with _join_signed
+# in _graded_lex order, build each from its numerator and denominator through _term
+# and join them with _join_signed; no Fraction is formed on the way
 def _graded_lex(terms: Iterable[tuple[MultiIndex, object]]) -> list:
     # (multi-index, value) pairs in descending graded-lexicographic order
     return sorted(terms, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
@@ -113,12 +115,14 @@ def _monomial_str(alpha: MultiIndex, letter: str = "x") -> str:
     return "*".join(factors)
 
 
-def _term(c: Scalar, factors: str, sep: str = "*") -> tuple[bool, str]:
-    # (is_negative, body) of c times factors: |c| is shown unless it is 1 and a factor follows
-    mag = abs(c)
-    if not factors:
-        return c < 0, str(mag)
-    return c < 0, factors if mag == 1 else f"{mag}{sep}{factors}"
+def _term(num: int, den: int, factors: str, sep: str = "*") -> tuple[bool, str]:
+    # (is_negative, body) of num/den (den > 0) times factors: |num/den| is shown in lowest
+    # terms, by one gcd, unless it is 1 and a factor follows
+    if factors and abs(num) == den:
+        return num < 0, factors
+    g = math.gcd(num, den)
+    mag = f"{abs(num) // g}" if den == g else f"{abs(num) // g}/{den // g}"
+    return num < 0, f"{mag}{sep}{factors}" if factors else mag
 
 
 def _join_signed(parts: Iterable[tuple[bool, str]]) -> str:
@@ -129,9 +133,9 @@ def _join_signed(parts: Iterable[tuple[bool, str]]) -> str:
     return "-" + out[3:] if out[1] == "-" else out[3:]
 
 
-def _items_str(items: Iterable[tuple[MultiIndex, Scalar]]) -> str:
-    # a polynomial rendered from its items(), for a caller that has listed them already
-    return _join_signed([_term(c, _monomial_str(a)) for a, c in items])
+def _nums_str(terms: Iterable[tuple[MultiIndex, int]], den: int) -> str:
+    # a polynomial rendered from its (exponent vector, numerator) pairs over den
+    return _join_signed([_term(c, den, _monomial_str(a)) for a, c in _graded_lex(terms)])
 
 
 def _scalar(c: object) -> Fraction:
@@ -347,7 +351,8 @@ class MultiPoly:
         return hash((self._n, self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
-        return _items_str(self.items())
+        n = self._n
+        return _nums_str(((_unpack(a, n), c) for a, c in self._nums.items()), self._den)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._n}, {self})"

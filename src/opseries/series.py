@@ -237,7 +237,7 @@ class EgfSeries:
 
     def __str__(self) -> str:
         return _join_signed([
-            _term(c, f"x^{m}/{m}!" if m > 1 else "x" if m else "", " ")
+            _term(c.numerator, c.denominator, f"x^{m}/{m}!" if m > 1 else "x" if m else "", " ")
             for m, c in enumerate(self._coeffs)
             if c
         ])

@@ -1,6 +1,7 @@
 """The three operator products, their identities, and the chain constructions."""
 
 import math
+from functools import reduce
 import operator
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -21,7 +22,8 @@ from opseries import (
 
 import opseries.diffop as diffop_module
 import opseries.multipoly as multipoly_module
-from opseries.diffop import _circ_powers, _diamond_powers
+from opseries.diffop import _circ_powers, _diamond_powers, _sum
+from opseries.multipoly import _join_signed, _monomial_str
 from test_multipoly import COEFFS, assert_unequal, polys
 
 
@@ -306,6 +308,107 @@ class TestAgainstTheGeneratorSum:
         high = DiffOp(1, {(2**30,): 1})
         assert high.diamond(xd()) == DiffOp(1, {(2**30 + 1,): x1, (2**30,): 2**30})
         assert high.circ(xd()).is_zero()
+
+
+# denominators 1, 2, 3 and 6, so that a later addend's need not divide the running one
+MIXED = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(1, 3),
+                         Fraction(-2, 3), Fraction(-5, 6), Fraction(4)])
+
+
+def mixed_ops(n, max_order=2):
+    """Operators whose coefficients have up to three terms over mixed denominators."""
+    coefficient = st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in range(n))), MIXED, max_size=3
+    ).map(lambda d: MultiPoly(n, d))
+    betas = st.tuples(*(st.integers(0, max_order) for _ in range(n)))
+    return st.dictionaries(betas, coefficient, max_size=3).map(lambda d: DiffOp(n, d))
+
+
+class TestStreamedSum:
+    """_sum, one numerator map over a running denominator, against pairwise +."""
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.lists(mixed_ops(n), min_size=1, max_size=6)))
+    @settings(max_examples=80)
+    def test_equals_the_pairwise_sum(self, ops):
+        before = [dict(op._sym._nums) for op in ops]
+        total = _sum(ops[0].n, (op for op in ops))
+        assert total == reduce(DiffOp.__add__, ops)
+        assert [op._sym._nums for op in ops] == before  # no addend is changed
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.lists(mixed_ops(n), min_size=1, max_size=4)))
+    @settings(max_examples=40)
+    def test_an_operator_and_its_negation_cancel_to_zero_over_one(self, ops):
+        total = _sum(ops[0].n, ops + [-op for op in reversed(ops)])
+        assert total == DiffOp.zero(ops[0].n) and total._sym._den == 1
+
+    def test_a_denominator_that_does_not_divide_the_running_one_rescales_it(self):
+        x1 = MultiPoly.variable(1, 0)
+        half, third = DiffOp(1, {(1,): x1 * Fraction(1, 2)}), DiffOp(1, {(0,): "-2/3"})
+        total = _sum(1, [half, third, DiffOp(1, {(1,): x1 * Fraction(1, 2), (0,): 1})])
+        assert total == DiffOp(1, {(1,): x1, (0,): Fraction(1, 3)})
+        assert total._sym._den == 3 and str(total) == "x1*d1 + 1/3"
+
+    def test_cancellation_to_zero(self):
+        x = DiffOp(1, {(1,): MultiPoly(1, {(1,): "1/3", (0,): -1}), (0,): "-2/3"})
+        total = _sum(1, [x, -x])
+        assert total.is_zero() and total._sym._den == 1 and str(total) == "0"
+        assert _sum(2, []) == DiffOp.zero(2)
+
+    def test_refuses_another_variable_count(self):
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            _sum(2, [unit_op(2), unit_op(1)])
+
+
+def fraction_term_reference(c, factors):
+    """The term format as first written: one reduced Fraction per term."""
+    mag = abs(c)
+    if not factors:
+        return c < 0, str(mag)
+    return c < 0, factors if mag == 1 else f"{mag}*{factors}"
+
+
+def poly_str_reference(p):
+    """MultiPoly rendering as first written, from items()."""
+    return _join_signed([fraction_term_reference(c, _monomial_str(a)) for a, c in p.items()])
+
+
+def op_str_reference(op):
+    """DiffOp rendering as first written, one reduced coefficient polynomial per index."""
+    parts = []
+    for beta, u in op.items():
+        if len(terms := u.items()) == 1:
+            ((alpha, c),) = terms
+            mono = _monomial_str(alpha)
+        else:
+            c, mono = 1, f"({poly_str_reference(u)})"
+        dpart = _monomial_str(beta, "d")
+        parts.append(fraction_term_reference(c, f"{mono}*{dpart}" if mono and dpart else
+                                             mono or dpart))
+    return _join_signed(parts)
+
+
+class TestRenderingFromNumerators:
+    """str() read straight from the numerators against the items()-based renderer."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(mixed_ops(n), mixed_ops(n))))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_items_renderer(self, pair):
+        x, y = pair
+        # the bullet product and the sum put terms over denominators they do not need,
+        # which the renderer must reduce term by term
+        for op in (x, y, x.bullet(y), x + y, -x, DiffOp.zero(x.n), unit_op(x.n)):
+            assert str(op) == op_str_reference(op)
+            for _, u in op.items():
+                assert str(u) == poly_str_reference(u)
+
+    def test_unit_negative_and_fractional_coefficients(self):
+        x1, x2, one = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1), MultiPoly.const(2, 1)
+        op = DiffOp(2, {(0, 0): x1 * Fraction(-1, 2) + one, (1, 0): -x1 * x2, (0, 2): "-3/4",
+                        (2, 0): x2 * x2 * 4 - x1})
+        assert str(op) == op_str_reference(op) == (
+            "(4*x2^2 - x1)*d1^2 - 3/4*d2^2 - x1*x2*d1 + (-1/2*x1 + 1)")
+        third = op * Fraction(1, 3)
+        assert str(third) == op_str_reference(third)
 
 
 class TestInequality:

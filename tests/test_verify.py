@@ -301,8 +301,10 @@ class TestSuites:
 
     @pytest.mark.parametrize("m, products", [(5, 40), (6, 121)])
     def test_partition_expansion_sums_by_the_subset_recursion(self, monkeypatch, m, products):
-        # (3^(m-1) - 1)/2 bullets, each added once onto the sum that starts at block(S);
-        # one bullet chain per set partition would take 99 and 471
+        # (3^(m-1) - 1)/2 bullets (one bullet chain per set partition would take 99 and 471).
+        # The summed subsets are 1..m and the non-empty subsets of 2..m; each of two or more
+        # labels streams its bullets into one private sum and adds block(S) to it with
+        # one +, 2^(m-1) - (m-1) in all (a running total took one + per bullet)
         calls = Counter()
         for name in ("bullet", "__add__"):
             original = getattr(DiffOp, name)
@@ -313,8 +315,9 @@ class TestSuites:
 
             monkeypatch.setattr(DiffOp, name, counted)
         assert verify_partition_expansion(random_op_list(RandomSpec(seed=9), m)).passed
-        assert products == (3 ** (m - 1) - 1) // 2
-        assert calls == {"bullet": products, "__add__": products}
+        sums = {5: 12, 6: 27}[m]
+        assert products == (3 ** (m - 1) - 1) // 2 and sums == 2 ** (m - 1) - (m - 1)
+        assert calls == {"bullet": products, "__add__": sums}
 
     def test_partition_expansion_rejects_higher_order(self):
         bad = DiffOp(2, {(1, 1): MultiPoly.const(2, 1)})

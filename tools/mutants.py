@@ -100,6 +100,18 @@ MUTANTS = (
         "nums = {a: c * (den // u._den)",
     ),
     Mutant(
+        "the term format without its gcd: a numerator over a shared denominator prints 2/4",
+        "src/opseries/multipoly.py",
+        "g = math.gcd(num, den)",
+        "g = 1",
+    ),
+    Mutant(
+        "the streamed operator sum without the in-place rescale of its running map",
+        "src/opseries/diffop.py",
+        "nums[key] = c * s",
+        "nums[key] = c",
+    ),
+    Mutant(
         "the integer contract reads a bool as an int (True as 1)",
         "src/opseries/multipoly.py",
         "if isinstance(value, bool) or not isinstance(value, int):",
