@@ -256,14 +256,23 @@ class DiffOp:
         return DiffOp._of_symbol(self._n, self._sym * other._sym)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
-        """Act on a polynomial: ``sum_beta u_beta * d^beta(p)``."""
+        """Act on a polynomial: ``sum_beta u_beta * d^beta(p)``.
+
+        Every product ``u_beta * d^beta(p)`` is summed into one numerator map
+        over one denominator, the symbol's times ``p``'s, and reduced once.
+        """
         _check_same_n(self._n, p.n)
-        out = MultiPoly.zero(self._n)
-        for beta, u in self._terms():
-            dp = p.partial(beta)
-            if not dp.is_zero():
-                out = out + u * dp
-        return out
+        n, den = self._n, p._den
+        mask = (1 << (W * n)) - 1
+        out: dict[int, int] = {}
+        for a, terms in self._groups().items():
+            dp = p.partial(_unpack(a, n))  # over a divisor of p's denominator
+            if dp._nums:
+                k = den // dp._den
+                u = {key & mask: c for key, c in terms.items()}
+                out = _mul_into(out, u, dp._nums if k == 1 else
+                                {key: c * k for key, c in dp._nums.items()})
+        return _product_result(n, out, self._sym._den * den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):

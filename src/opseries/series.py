@@ -9,23 +9,32 @@ and nothing is ever silently zero-padded.
 Products use the binomial convolution ``(fg)_m = sum_k C(m,k) f_k g_{m-k}``.
 ``exp`` is the triangular recurrence of the defining ODE ``g' = f'g``; one
 triangular solve of ``den * q = num`` serves ``reciprocal`` (numerator one)
-and ``ln`` (``q = f'/f``, then a shift).  Composition ``f(g)`` and the
-Newton solve share one triangular table of the powers ``g^k``, extended
-one coefficient column at a time: column ``n`` reads only ``b_1 .. b_{n-1}``
-of ``g`` and the earlier columns, and order ``N`` costs about ``N^3/6``
-products.
+and ``ln`` (``q = f'/f``, then a shift).
+
+The three cross-checks of the log form run over Python ints, each with its
+inputs over one common denominator, and form one reduced ``Fraction`` per
+output coefficient.  Composition ``f(g)`` and the Newton solve share one
+table of the partial Bell polynomials ``B_{n,k}(b) = [g^k/k!]_n``, which
+have integer coefficients (Comtet, *Advanced Combinatorics*, 3.3).  It is
+extended one column at a time: column ``n`` reads ``b_n`` only at ``k = 1``,
+otherwise ``b_1 .. b_{n-1}`` and the earlier columns, and order ``N`` costs
+about ``N^3/6`` multiply-adds.  The classical method forms the powers of
+``x/f`` by J.C.P. Miller's recurrence instead, so no fault in that table can
+pass both it and Newton.
 
 Four compositional-inverse algorithms are provided for series with zero
 constant term and invertible linear coefficient:
 
 * :func:`classical_inverse` -- read ``b_n`` off the (n-1)-th coefficient
-  of the n-th power of ``x/f``;
+  of the n-th power of ``x/f``, formed over integers by Miller's recurrence
+  ``W P' = n W' P`` for ``P = W^n``;
 * :func:`operator_inverse` -- iterate ``s -> (1/f') * s'`` starting from
   ``1/f'`` and collect constant terms;
 * :func:`log_form_inverse` -- iterate the same operator starting from
   ``e^x``, then take the log of the collected constant-term series;
 * :func:`newton_inverse` -- triangular coefficient-by-coefficient solve
-  of ``f(g(x)) = x`` over that power table (the independent cross-check).
+  of ``f(g(x)) = x`` over the partial Bell table (the independent
+  cross-check).
 
 Their shared precondition is checked once per public entry point: the series
 (``a_0 = 0``, ``a_1 != 0``, valid far enough) by ``_as_invertible``, the order
@@ -77,24 +86,38 @@ def _quotient(num: Sequence[T], den: Sequence[T], mul: Callable[[T, T], T]) -> l
     return out
 
 
-def _power_sums(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> Iterator[Fraction]:
-    # for n = 1..order, yield sum_{k>=2} a_k/k! [g^k]_n, where [g^k]_n is egf
-    # coefficient n of g^k for g = sum b_m x^m/m! (b_0 = 0).  A triangular table
-    # of powers is extended one column per step:
-    # [g^k]_n = sum_{j=k-1}^{n-1} C(n,j) [g^(k-1)]_j b_(n-j) for k = 2..n, so
-    # column n reads only b_1..b_(n-1) and earlier columns; a caller may write
-    # b_n after the n-th yield, as newton_inverse does.  About order^3/6 products.
-    weights = [a[k] / math.factorial(k) for k in range(order + 1)]
-    powers = [None, b] + [[0] * (order + 1) for _ in range(2, order + 1)]
-    for n in range(1, order + 1):  # powers[k][j] = [g^k]_j, zero below j = k
-        binom = [math.comb(n, j) for j in range(n)]
-        total = 0
+def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    # the coefficients as integer numerators over their one least common denominator
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _exact(num: int, den: int) -> int:
+    # num / den where the recurrence makes it an integer; a remainder is a fault, not a floor
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{num} / {den} is not exact, which the recurrence rules out")
+    return q
+
+
+def _bell_columns(b: Sequence[int], order: int) -> Iterator[list[int]]:
+    # for n = 1..order, yield column n of the integer partial Bell table
+    # B_{n,k}(b) = [g^k/k!]_n for g = sum b_m x^m/m!, as a list indexed by k = 0..n.
+    # Peeling off the block that holds element n gives
+    # B_{n,k} = sum_i C(n-1,i) b_(i+1) B_(n-1-i,k-1), which divides by nothing.  Row 1
+    # is b itself, so column n reads b_n only at k = 1, as the yielded col[1]: a caller
+    # may write b_n after the n-th yield, as newton_inverse does.  About order^3/6
+    # multiply-adds.
+    rows = [None, b] + [[0] * (order + 1) for _ in range(2, order + 1)]
+    for n in range(1, order + 1):  # rows[k][m] = B_{m,k}, zero below m = k
+        weights = [math.comb(n - 1, i) * b[i + 1] for i in range(n - 1)]
+        col = [0, b[n]]
         for k in range(2, n + 1):
-            prev = powers[k - 1]
-            value = sum(binom[j] * prev[j] * b[n - j] for j in range(k - 1, n))
-            powers[k][n] = value
-            total += weights[k] * value
-        yield total
+            # i = 0..n-k meets B_(n-1-i,k-1) for m = n-1 down to k-1
+            value = sum(map(operator.mul, weights, reversed(rows[k - 1][k - 1 : n])))
+            rows[k][n] = value
+            col.append(value)
+        yield col
 
 
 class EgfSeries:
@@ -199,20 +222,29 @@ class EgfSeries:
     def compose(self, inner: EgfSeries) -> EgfSeries:
         """Substitute ``inner`` (which must vanish at 0) into this series.
 
-        With ``a`` the coefficients of this series and ``b`` those of
-        ``inner``, coefficient ``n`` of the result is ``a_1 b_n`` plus the
-        power-table sum ``sum_{k>=2} a_k/k! [g^k]_n`` of :func:`_power_sums`,
-        and coefficient 0 is ``a_0``.  About ``N^3/6`` multiply-adds at
-        order ``N = min(self.order, inner.order)``.
+        Over integers: with this series' coefficients ``A_k/e`` and those of
+        ``inner`` ``N_m/d`` (each over its least common denominator), the
+        partial Bell polynomial ``B_{n,k}`` is homogeneous of degree ``k``, so
+        coefficient ``n`` of the result is
+        ``sum_{k=1..n} A_k B_{n,k}(N) d^(n-k) / (e d^n)`` over the integer
+        table of :func:`_bell_columns`, one reduced ``Fraction`` per
+        coefficient; coefficient 0 is ``a_0``.  About ``N^3/6`` multiply-adds
+        at order ``N = min(self.order, inner.order)``.
         """
         if not isinstance(inner, EgfSeries):
             raise TypeError("compose expects another series")
         if inner._coeffs[0] != 0:
             raise ValueError("inner series must have zero constant term")
         upto = min(self.order, inner.order)
-        a, b = self._coeffs, inner._coeffs
-        sums = _power_sums(a, b, upto)
-        return EgfSeries([a[0]] + [a[1] * b[n] + s for n, s in enumerate(sums, start=1)])
+        a, e = _over_lcm(self._coeffs[: upto + 1])
+        b, d = _over_lcm(inner._coeffs[: upto + 1])
+        dpow = list(accumulate(repeat(d, upto), operator.mul, initial=1))  # d^0 .. d^upto
+        out = [self._coeffs[0]]
+        for n, col in enumerate(_bell_columns(b, upto), start=1):
+            # row k of the table sits over d^k: scale it to the column's d^n
+            num = sum(a[k] * col[k] * dpow[n - k] for k in range(1, n + 1))
+            out.append(Fraction(num, e * dpow[n]))
+        return EgfSeries(out)
 
     def exp(self) -> EgfSeries:
         """Exponential; requires zero constant term."""
@@ -278,15 +310,30 @@ def classical_inverse(f: EgfSeries, order: int) -> EgfSeries:
     ``b_n`` is the (n-1)-th coefficient of ``(x/f)^n``.  The removable
     singularity in ``x/f`` is handled structurally: ``f/x`` comes from the
     coefficient shift ``(f/x)_m = a_{m+1}/(m+1)``, then one reciprocal.
-    Needs ``f`` valid to ``order + 1``.
+    The powers are formed over integers: with ``w = x/f = W/d`` over one
+    denominator, coefficients ``0 .. n-1`` of ``P = W^n`` follow from
+    J.C.P. Miller's recurrence ``W P' = n W' P`` (Knuth, TAOCP vol. 2,
+    4.7), ``W_0 P_(k+1) = sum_j (n C(k,j) - C(k,j+1)) W_(j+1) P_(k-j)``,
+    one exact division per coefficient, and ``b_n = P_(n-1) / d^n``.  This
+    is independent of :func:`_bell_columns`.  About ``N^3/3``
+    multiply-adds; needs ``f`` valid to ``order + 1``.
     """
     _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order + 1)
-    shifted = EgfSeries(f.coeffs[m + 1] / (m + 1) for m in range(order + 1))
-    w = shifted.reciprocal()  # x/f, valid to `order`
-    powers = accumulate(repeat(w), operator.mul)  # (x/f)^n from n = 1
-    # range first: zip stops on it before it pulls a power past (x/f)^order
-    return EgfSeries([Fraction(0), *(p[n - 1] for n, p in zip(range(1, order + 1), powers))])
+    shifted = EgfSeries(f.coeffs[m + 1] / (m + 1) for m in range(order))
+    w, d = _over_lcm(shifted.reciprocal().coeffs)  # x/f, valid to order - 1
+    binom = [[math.comb(k, j) for j in range(k + 2)] for k in range(order - 1)]  # C(k, k+1) = 0
+    out = [Fraction(0)]
+    d_n = d
+    for n in range(1, order + 1):
+        p = [w[0] ** n]  # P_0, then P_1 .. P_(n-1)
+        for k in range(n - 1):
+            row = binom[k]
+            total = sum((n * row[j] - row[j + 1]) * w[j + 1] * p[k - j] for j in range(k + 1))
+            p.append(_exact(total, w[0]))
+        out.append(Fraction(p[-1], d_n))
+        d_n *= d
+    return EgfSeries(out)
 
 
 def operator_iterate(f: EgfSeries, start: EgfSeries, count: int) -> EgfSeries:
@@ -331,23 +378,33 @@ def log_form_inverse(f: EgfSeries, order: int) -> EgfSeries:
 
 
 def newton_inverse(f: EgfSeries, order: int) -> EgfSeries:
-    """Solve ``f(g(x)) = x`` coefficient by coefficient.
+    """Solve ``f(g(x)) = x`` coefficient by coefficient, over integers.
 
     The unknown ``b_n`` enters coefficient ``n`` of ``f(g)`` only through
-    the linear term ``a_1 b_n``: every power ``g^k`` with ``k >= 2`` reads
-    ``b_1 .. b_{n-1}`` there.  So each step takes the power-table sum of
-    :func:`_power_sums` for column ``n`` and does one exact division,
-    ``b_n = (delta_{n,1} - sum) / a_1``, about ``N^3/6`` multiply-adds in
-    all.  It uses no powers of ``x/f``, no operator iterates and no
-    ``ln``, so it stays independent of the other three algorithms; needs
-    ``f`` valid to ``order``.
+    the linear term ``a_1 b_n``: every ``B_{n,k}(b)`` with ``k >= 2`` reads
+    ``b_1 .. b_{n-1}``.  With ``f``'s coefficients ``A_k/e`` over one
+    denominator and ``c = A_1^2``, the scaled unknowns ``B~_n = b_n c^n``
+    are integers (the reversion coefficients of ``x + sum alpha_k x^k/k!``
+    are integer polynomials of weight ``n-1`` in ``alpha_k = A_k/A_1``), and
+    homogeneity of the partial Bell table :func:`_bell_columns` gives
+    ``B~_n = (e c [n=1] - sum_{k>=2} A_k B_{n,k}(B~)) / A_1``, one exact
+    division per step, then ``b_n = B~_n / c^n``: about ``N^3/6``
+    multiply-adds in all.  It uses no series product, no powers of
+    ``x/f``, no operator iterates and no ``ln``, so it stays independent of
+    the other three algorithms; needs ``f`` valid to ``order``.
     """
     _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order)
-    a = f.coeffs
-    out = [Fraction(0)] * (order + 1)
-    for n, value in enumerate(_power_sums(a, out, order), start=1):
-        out[n] = ((1 if n == 1 else 0) - value) / a[1]  # column n + 1 reads it
+    a, e = _over_lcm(f.coeffs[: order + 1])
+    c = a[1] * a[1]
+    scaled = [0] * (order + 1)  # B~_n, written after column n is yielded
+    out = [Fraction(0)]
+    c_n = c
+    for n, col in enumerate(_bell_columns(scaled, order), start=1):
+        total = sum(map(operator.mul, a[2 : n + 1], col[2:]))
+        scaled[n] = _exact((e * c if n == 1 else 0) - total, a[1])  # column n + 1 reads it
+        out.append(Fraction(scaled[n], c_n))
+        c_n *= c
     return EgfSeries(out)
 
 

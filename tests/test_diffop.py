@@ -437,6 +437,14 @@ class TestProductProperties:
     def test_diamond_is_composition_of_actions(self, x, y, p):
         assert x.diamond(y).apply(p) == x.apply(y.apply(p))
 
+    @given(diffops(n=2, max_order=3), polys(2, 3, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_is_the_pairwise_sum(self, x, p):
+        # the one numerator map against sum_beta u_beta * d^beta(p), added pairwise
+        expected = reduce(operator.add, (u * p.partial(beta) for beta, u in x.items()),
+                          MultiPoly.zero(2))
+        assert x.apply(p) == expected
+
     @given(diffops(), diffops())
     @settings(max_examples=40, deadline=None)
     def test_bullet_commutes(self, x, y):

@@ -10,6 +10,10 @@ code before ``MultiPoly`` moved to integer numerators over one shared
 denominator.  The ``inversion --order 24`` and ``invert --order 16`` cases
 pin ``compose`` and ``newton_inverse`` at sizes where they do real work;
 they were recorded from the code before both moved to one power table.
+With the ``invert --method all`` cases they also pin the integer kernels
+(the partial Bell table behind ``compose`` and ``newton_inverse``, Miller's
+recurrence behind ``classical_inverse``), recorded before those moved off
+``Fraction`` arithmetic.
 The ``compos --m 7`` case (877 summands) was recorded from the code that
 still formed one bullet product chain per set partition, before the sum
 moved to a subset recursion.  The ``bell 6 --format json`` case and the

@@ -1,6 +1,6 @@
 """Reversion and operator action checked against sympy, outside the package.
 
-``rs_series_reversion`` is the oracle for the inverse methods,
+``rs_series_reversion`` is the oracle for the four inverse methods,
 ``rs_series_from_list`` the oracle for :meth:`EgfSeries.compose` and
 ``sympy.diff`` the oracle for :meth:`DiffOp.apply`.  The module is skipped
 when sympy is not installed; it is declared in the ``test`` extra.
@@ -23,8 +23,10 @@ from opseries import (  # noqa: E402
     EgfSeries,
     MultiPoly,
     RandomSpec,
+    classical_inverse,
     log_form_inverse,
     newton_inverse,
+    operator_inverse,
     random_diffop,
     random_invertible_series,
 )
@@ -49,8 +51,30 @@ def test_reversion_matches_sympy(seed):
     order = 8
     f = random_invertible_series(RandomSpec(seed=seed), order + 1)
     expected = sympy_inverse(f, order)
-    assert log_form_inverse(f, order) == expected
-    assert newton_inverse(f, order) == expected
+    for method in (classical_inverse, operator_inverse, log_form_inverse, newton_inverse):
+        assert method(f, order) == expected, method.__name__
+
+
+def mixed_series(seed, order):
+    """An invertible series with lead -3/2 and coefficients over 9 and 4.
+
+    Its numerators over one denominator have a lead other than +-1, so the
+    scaling of ``newton_inverse`` and the divisions of ``classical_inverse``
+    by the leading coefficient of ``x/f`` are not exact by accident.
+    """
+    rng = random.Random(seed)
+    tail = [Fraction(rng.randint(-9, 9), rng.choice([9, 4])) for _ in range(order - 1)]
+    return EgfSeries([0, Fraction(-3, 2)] + tail)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reversion_with_a_rational_lead_matches_sympy_at_order_20(seed):
+    order = 20
+    f = mixed_series(seed, order + 1)
+    expected = sympy_inverse(f, order)
+    assert expected[1] == Fraction(-2, 3)
+    for method in (classical_inverse, operator_inverse, log_form_inverse, newton_inverse):
+        assert method(f, order) == expected, method.__name__
 
 
 def to_sympy(p, xs):
@@ -119,6 +143,16 @@ def test_compose_matches_sympy(shape, seed):
     b = [0] + [rng.choice(POOL) for _ in range(inner_order)]
     outer, inner = EgfSeries(a), EgfSeries(b)
     assert outer.compose(inner) == sympy_compose(outer, inner)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_compose_with_a_fractional_inner_series_matches_sympy_at_order_16(seed):
+    # mixed denominators on both sides, so each row k of the power table sits over d^k
+    outer = mixed_series(seed, 16)
+    inner = mixed_series(seed + 10, 16)
+    assert any(c.denominator == 9 for c in inner.coeffs)
+    assert outer.compose(inner) == sympy_compose(outer, inner)
+    assert inner.compose(outer) == sympy_compose(inner, outer)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

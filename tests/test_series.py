@@ -1,7 +1,9 @@
 """Truncated series arithmetic and the four compositional-inverse algorithms."""
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,18 @@ class TestComposeExpLn:
     def test_ln_exp_round_trip(self, tail):
         f = EgfSeries([0] + tail)
         assert f.exp().ln() == f
+
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_bell_columns_are_the_scaled_powers(self, tail):
+        # the integer kernel of compose and newton_inverse against repeated series
+        # products: B_{n,k}(b) = [g^k]_n / k!
+        b, order = [0] + tail, len(tail)
+        g = EgfSeries(b)
+        powers = list(islice(accumulate(repeat(g), operator.mul), order))  # g^1 .. g^order
+        for n, col in enumerate(series._bell_columns(b, order), start=1):
+            assert all(isinstance(v, int) for v in col)
+            assert col == [0] + [powers[k - 1][n] / math.factorial(k) for k in range(1, n + 1)]
 
     def test_ln_of_tree_series(self):
         # ln turns coefficients (m+1)^(m-1) into m^(m-1)

@@ -275,9 +275,9 @@ class TestSuites:
         power_diamond(random_vector_field(RandomSpec(seed=9)), m)
         assert len(diamonds) == m - 1
         products = count_calls(monkeypatch, EgfSeries, "__mul__")
-        classical_inverse(EgfSeries([0, 2, -1, 1, 0, 3, 1]), m)  # reads (x/f)^1 .. (x/f)^m
-        assert len(products) == m - 1
-        products.clear()
+        # forms (x/f)^1 .. (x/f)^m over integers by Miller's recurrence, no series product
+        classical_inverse(EgfSeries([0, 2, -1, 1, 0, 3, 1]), m)
+        assert len(products) == 0
         verify_exp_identity_xd(m)  # reads (e^z - 1)^0 .. (e^z - 1)^m
         assert len(products) == m - 1
 

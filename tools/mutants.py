@@ -168,10 +168,22 @@ MUTANTS = (
         "f_after_g = ident",
     ),
     Mutant(
-        "classical_inverse forms (x/f)^(order+1), a power it never reads",
+        "Miller's recurrence in classical_inverse without the - C(k, j+1) of its weight",
         "src/opseries/series.py",
-        "for n, p in zip(range(1, order + 1), powers)",
-        "for p, n in zip(powers, range(1, order + 1))",
+        "(n * row[j] - row[j + 1])",
+        "n * row[j]",
+    ),
+    Mutant(
+        "newton_inverse scales its unknowns by c = 1 instead of A_1^2",
+        "src/opseries/series.py",
+        "c = a[1] * a[1]",
+        "c = 1",
+    ),
+    Mutant(
+        "compose without the d^(n-k) that puts row k of the Bell table over d^n",
+        "src/opseries/series.py",
+        "a[k] * col[k] * dpow[n - k]",
+        "a[k] * col[k]",
     ),
 )
 
