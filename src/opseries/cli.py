@@ -155,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run one identity suite")
     p_ver.add_argument("theorem", choices=list(SUITES))
-    p_ver.add_argument("--trials", type=int, default=1)
+    p_ver.add_argument("--trials", type=int, help="random instances (default 1)")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--n", type=int, default=2, help="variable count")
-    p_ver.add_argument("--degree", type=int, default=2, help="coefficient degree bound")
+    p_ver.add_argument("--n", type=int, help="variable count (default 2)")
+    p_ver.add_argument("--degree", type=int, help="coefficient degree bound (default 2)")
     for flag, what in (("m", "instance size"), ("order", "series or z order")):
         readers = ", ".join(f"{s} (default {d})" for s, (f, d, _) in SUITES.items() if f == flag)
         p_ver.add_argument(f"--{flag}", type=int, default=None, help=f"{what}, read by {readers}")

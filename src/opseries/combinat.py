@@ -18,7 +18,6 @@ in which they index Bell-polynomial terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, islice
 from typing import Iterable, Sequence
@@ -26,7 +25,9 @@ from typing import Iterable, Sequence
 from .diffop import (
     DiffOp, _block, _check_indices, _check_op_list, _circ_powers, _sum, unit_op,
 )
-from .multipoly import _check_int, _graded_lex, _join_signed, _monomial_str, _term
+from .multipoly import (
+    _check_int, _graded_lex, _join_signed, _monomial_str, _read_only, _term,
+)
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
 MAX_INT_PARTITION_SIZE = 40  # p(40) = 37,338; p(100) = 190,569,292 is out of reach
@@ -36,27 +37,33 @@ MAX_INT_PARTITION_SIZE = 40  # p(40) = 37,338; p(100) = 190,569,292 is out of re
 MAX_BELL_BULLETS = 1500
 
 
-@dataclass(frozen=True)
 class SetPartition:
     """Partition of ``{1..m}`` into disjoint non-empty blocks.
 
     Canonical form: elements ascending within a block, blocks sorted by
-    minimum element.
+    minimum element.  Immutable, compared and hashed by value.
     """
 
+    __slots__ = ("m", "blocks")
     m: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        _check_int(self.m, 1, "ground set size must be a positive integer")
+    def __init__(self, m: int, blocks: Iterable[Iterable[int]]):
+        _check_int(m, 1, "ground set size must be a positive integer")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", self._canonical(m, blocks))
+
+    @staticmethod
+    def _canonical(m: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+        # the constructor's checks: the blocks partition 1..m; returns them in canonical form
         try:
-            raw = tuple(self.blocks)
+            raw = tuple(blocks)
         except TypeError:
-            msg = f"partition must be an iterable of blocks, got {self.blocks!r}"
+            msg = f"partition must be an iterable of blocks, got {blocks!r}"
             raise ValueError(msg) from None
-        blocks = [tuple(sorted(_check_indices(b))) for b in raw]
+        canon = [tuple(sorted(_check_indices(b))) for b in raw]
         seen: set[int] = set()
-        for block in blocks:
+        for block in canon:
             if not block:
                 raise ValueError("empty block")
             if len(set(block)) < len(block):
@@ -64,18 +71,28 @@ class SetPartition:
             if seen & set(block):
                 raise ValueError("blocks are not disjoint")
             seen |= set(block)
-        if seen != set(range(1, self.m + 1)):
-            raise ValueError(f"blocks do not cover 1..{self.m}")
+        if seen != set(range(1, m + 1)):
+            raise ValueError(f"blocks do not cover 1..{m}")
         # disjoint non-empty blocks have distinct minima, so plain tuple order sorts by minimum
-        object.__setattr__(self, "blocks", tuple(sorted(blocks)))
+        return tuple(sorted(canon))
 
     @classmethod
     def _unchecked(cls, m: int, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
-        # blocks that are valid and canonical by construction: skip __post_init__'s checks
+        # blocks that are valid and canonical by construction: skip _canonical's checks
         out = object.__new__(cls)
         object.__setattr__(out, "m", m)
         object.__setattr__(out, "blocks", blocks)
         return out
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SetPartition):
+            return NotImplemented
+        return self.m == other.m and self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.blocks))
 
     def signature(self) -> IntPartition:
         """Block-size signature as an integer partition in multiplicity form."""
@@ -89,21 +106,35 @@ class SetPartition:
         return "-".join(sep.join(str(e) for e in block) for block in self.blocks)
 
 
-@dataclass(frozen=True)
 class IntPartition:
-    """Integer partition of ``m`` in multiplicity form: l_i parts of size i."""
+    """Integer partition of ``m`` in multiplicity form: l_i parts of size i.
 
+    Immutable, compared and hashed by value: the key type of ``BellPoly.terms``.
+    """
+
+    __slots__ = ("m", "multiplicities")
     m: int
     multiplicities: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_int(self.m, 0, "partitioned integer must be a non-negative integer")
-        mults = _multiplicities(self.multiplicities)
+    def __init__(self, m: int, multiplicities: Iterable[int]):
+        _check_int(m, 0, "partitioned integer must be a non-negative integer")
+        mults = _multiplicities(multiplicities)
+        if len(mults) != m:
+            raise ValueError(f"need {m} multiplicities, got {mults}")
+        if sum((i + 1) * l for i, l in enumerate(mults)) != m:
+            raise ValueError(f"multiplicities {mults} do not sum to {m}")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "multiplicities", mults)
-        if len(mults) != self.m:
-            raise ValueError(f"need {self.m} multiplicities, got {mults}")
-        if sum((i + 1) * l for i, l in enumerate(mults)) != self.m:
-            raise ValueError(f"multiplicities {mults} do not sum to {self.m}")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntPartition):
+            return NotImplemented
+        return self.m == other.m and self.multiplicities == other.multiplicities
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.multiplicities))
 
     @property
     def length(self) -> int:
@@ -178,17 +209,24 @@ def partition_class_count(mults: Sequence[int] | IntPartition) -> int:
     return math.factorial(m) // denom
 
 
-@dataclass
 class BellPoly:
     """Complete Bell polynomial: a map from integer partitions to counts.
 
     The coefficient of ``x_1^{l_1} ... x_m^{l_m}`` counts the set
     partitions with that block-size signature; the coefficients sum to
-    the Bell number B(m).
+    the Bell number B(m).  Compared by value; mutable, so not hashable.
     """
 
-    m: int
-    terms: dict[IntPartition, int] = field(default_factory=dict)
+    __slots__ = ("m", "terms")
+
+    def __init__(self, m: int, terms: dict[IntPartition, int] | None = None):
+        self.m = m
+        self.terms = {} if terms is None else terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BellPoly):
+            return NotImplemented
+        return self.m == other.m and self.terms == other.terms
 
     def items(self) -> list[tuple[IntPartition, int]]:
         """Terms in the graded-lex order of their multiplicity vectors (part count first)."""

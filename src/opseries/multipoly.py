@@ -161,6 +161,12 @@ def _check_int(value: object, least: float, contract: str, most: float = math.in
     return value
 
 
+def _read_only(self: object, name: str, value: object = None) -> None:
+    # __setattr__ and __delattr__ of an immutable record, whose __init__ sets each slot
+    # once through object.__setattr__
+    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+
 _VARIABLE_COUNT = "variable count must be positive"  # the contract on every n
 
 

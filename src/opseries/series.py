@@ -159,6 +159,9 @@ class EgfSeries:
         return self._coeffs
 
     def __getitem__(self, m: int) -> Fraction:
+        # one type test, as every iterate on the log path is indexed: a bool is not an index
+        if type(m) is not int:
+            raise ValueError(f"series index must be an integer, got {m!r} (a {type(m).__name__})")
         if not 0 <= m <= self.order:
             raise IndexError(f"index {m} outside valid order {self.order}")
         return self._coeffs[m]

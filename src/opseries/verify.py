@@ -15,7 +15,6 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
@@ -23,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling2
 from .diffop import (DiffOp, _check_op_list, _circ_powers, _diamond_powers, diamond_chain,
                      power_diamond, unit_op)
-from .multipoly import MultiIndex, MultiPoly, _check_int
+from .multipoly import MultiIndex, MultiPoly, _check_int, _read_only
 from .series import (
     EgfSeries,
     _exp_recurrence,
@@ -49,30 +48,46 @@ STIRLING_POWER_CAP = 10
 _Z_ORDER = "z-order must be a non-negative integer"
 
 
-@dataclass(frozen=True)
 class RandomSpec:
-    """Deterministic recipe for one random instance."""
+    """Deterministic recipe for one random instance.  Immutable, compared and hashed by value."""
 
+    __slots__ = ("seed", "n", "max_degree")
     seed: int
-    n: int = 2
-    max_degree: int = 2
+    n: int
+    max_degree: int
 
-    def __post_init__(self):
-        _check_int(self.seed, -math.inf, "seed must be an integer")
-        _check_int(self.n, 1, "variable count n must be at least 1")
-        _check_int(self.max_degree, 0, "degree bound must be non-negative")
+    def __init__(self, seed: int, n: int = 2, max_degree: int = 2):
+        _check_int(seed, -math.inf, "seed must be an integer")
+        _check_int(n, 1, "variable count n must be at least 1")
+        _check_int(max_degree, 0, "degree bound must be non-negative")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "max_degree", max_degree)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RandomSpec):
+            return NotImplemented
+        return (self.seed, self.n, self.max_degree) == (other.seed, other.n, other.max_degree)
+
+    def __hash__(self) -> int:
+        return hash((self.seed, self.n, self.max_degree))
 
 
-@dataclass
 class VerifyReport:
     """One checked identity: rendered sides, verdict, provenance."""
 
-    theorem: str
-    description: str
-    left: str
-    right: str
-    passed: bool
-    elapsed: float = 0.0
+    __slots__ = ("theorem", "description", "left", "right", "passed", "elapsed")
+
+    def __init__(self, theorem: str, description: str, left: str, right: str, passed: bool,
+                 elapsed: float = 0.0):
+        self.theorem = theorem
+        self.description = description
+        self.left = left
+        self.right = right
+        self.passed = passed
+        self.elapsed = elapsed
 
     def as_dict(self) -> dict:
         # elapsed is intentionally left out: JSON output must be
@@ -377,15 +392,19 @@ SUITES: dict[str, tuple[str | None, int | None, Callable[..., list[VerifyReport]
         for rng, desc in _trials(spec, trials, sized=False)
     ]),
 }
+# the instance flags a suite does not read, refused when given: stirling checks one fixed
+# operator, and inversion draws series, which have no variable count or coefficient degree;
+# --seed is accepted by every suite
+UNREAD_FLAGS = {"stirling": ("trials", "n", "degree"), "inversion": ("n", "degree")}
 
 
 def run_suite(
     name: str,
     *,
     seed: int = 0,
-    trials: int = 1,
-    n: int = 2,
-    degree: int = 2,
+    trials: int | None = None,
+    n: int | None = None,
+    degree: int | None = None,
     m: int | None = None,
     order: int | None = None,
 ) -> list[VerifyReport]:
@@ -397,12 +416,18 @@ def run_suite(
     identity, plus the x*d specialization), ``stirling`` (normal form of
     powers of x*d), ``inversion`` (four-way inverse agreement).  Each suite
     reads at most one size, ``m`` or ``order`` (see ``SUITES``); the
-    other is refused, and an unset one takes the suite's default.
+    other is refused, and an unset one takes the suite's default.  So is
+    each of ``trials``, ``n`` and ``degree`` that the suite does not read
+    (see ``UNREAD_FLAGS``); unset, they are 1, 2 and 2.
     """
-    spec = RandomSpec(seed=seed, n=n, max_degree=degree)
-    _check_int(trials, 1, "trials must be at least 1")
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    knobs = {"trials": trials, "n": n, "degree": degree}
+    for knob in UNREAD_FLAGS.get(name, ()):
+        if knobs[knob] is not None:
+            raise ValueError(f"suite {name!r} does not read --{knob}")
+    spec = RandomSpec(seed, 2 if n is None else n, 2 if degree is None else degree)
+    trials = 1 if trials is None else _check_int(trials, 1, "trials must be at least 1")
     flag, default, run = SUITES[name]
     sizes = {"m": m, "order": order}
     for given, value in sizes.items():

@@ -229,7 +229,8 @@ class TestVerify:
         "argv",
         [["prop1", "--m", "3"], ["corollary", "--order", "2"], ["compos", "--order", "3"],
          ["bellpower", "--order", "3"], ["expid", "--m", "3"], ["stirling", "--order", "2"],
-         ["inversion", "--m", "4"]],
+         ["inversion", "--m", "4"], ["stirling", "--trials", "50"], ["stirling", "--n", "7"],
+         ["stirling", "--degree", "0"], ["inversion", "--n", "1"], ["inversion", "--degree", "3"]],
     )
     def test_a_size_flag_the_suite_does_not_read_exits_2(self, capsys, argv):
         code, out, err = run(["verify"] + argv, capsys)
@@ -339,6 +340,28 @@ class TestParser:
         )
         assert fresh.returncode == 0 and '"inverse"' in fresh.stdout
         assert (code, out) == (0, fresh.stdout)
+
+
+def modules_after(code):
+    # the modules a fresh isolated interpreter holds after running code with this src/ first
+    # on its path; the modules site and .pth files preload are there with or without code
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c",
+         f"import sys\nsys.path.insert(0, {src!r})\n{code}\nprint(*sys.modules, sep='\\n')"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(proc.stdout.split())
+
+
+class TestStartUp:
+    def test_the_cli_imports_neither_dataclasses_nor_inspect(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize: about half of the import that
+        # every command pays for before any algebra
+        bare = modules_after("")
+        added = modules_after("import opseries.cli\nopseries.cli.build_parser()") - bare
+        assert {"opseries.cli", "opseries.verify", "argparse"} <= added
+        assert not added & {"dataclasses", "inspect"}
 
 
 class TestNoCycles:

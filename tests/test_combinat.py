@@ -199,10 +199,10 @@ class TestSetPartitions:
                 assert p == SetPartition(m, p.blocks)
                 assert type(p.blocks) is tuple and all(type(b) is tuple for b in p.blocks)
 
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("set_partitions ran SetPartition's checks")
 
-        monkeypatch.setattr(SetPartition, "__post_init__", refuse)
+        monkeypatch.setattr(SetPartition, "_canonical", refuse)
         assert set_partitions(5) == results[5]
         with pytest.raises(AssertionError, match="ran SetPartition's checks"):
             SetPartition(1, ((1,),))
@@ -241,6 +241,40 @@ class TestSetPartitions:
         # elements get comma-separated once two-digit labels appear
         wide = SetPartition(10, (tuple(range(1, 10)), (10,)))
         assert str(wide) == "1,2,3,4,5,6,7,8,9-10"
+
+
+class TestRecordTypes:
+    def test_partitions_compare_and_hash_by_value(self):
+        p = SetPartition(3, ((3, 2), (1,)))
+        assert p == SetPartition(3, [[1], [2, 3]])
+        assert hash(p) == hash(SetPartition(3, ((1,), (2, 3))))
+        assert p != SetPartition(3, ((1, 2), (3,))) and p != "1-23"
+        assert len(set(set_partitions(5))) == 52
+        q = IntPartition(4, [2, 1, 0, 0])
+        assert q == IntPartition(4, (2, 1, 0, 0))
+        assert hash(q) == hash(IntPartition(4, (2, 1, 0, 0)))
+        assert q != IntPartition(4, (0, 2, 0, 0)) and q != (2, 1, 0, 0)
+        assert len(set(integer_partitions(8))) == 22
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(SetPartition(2, ((1, 2),)), "blocks"), (IntPartition(2, (0, 1)), "multiplicities")],
+    )
+    def test_partitions_are_immutable(self, record, field):
+        for change in (lambda: setattr(record, field, ()), lambda: setattr(record, "m", 3),
+                       lambda: delattr(record, field), lambda: setattr(record, "extra", 1)):
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                change()
+        assert record.m == 2 and getattr(record, field)
+
+    def test_bell_polynomials_compare_by_value(self):
+        assert BellPoly(3).terms == {} and BellPoly(3).terms is not BellPoly(3).terms
+        four = bell_polynomial(4)
+        assert len(four.terms) == 5
+        assert four == BellPoly(4, dict(four.terms)) and four != bell_polynomial(3)
+        assert four != BellPoly(4, {**four.terms, IntPartition(4, (0, 0, 0, 1)): 2})
+        with pytest.raises(TypeError):
+            hash(four)
 
 
 class TestPartitionOperator:

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import re
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
@@ -103,6 +104,19 @@ class TestArithmetic:
         assert f[1] == 2
         with pytest.raises(IndexError):
             f[2]
+
+    @pytest.mark.parametrize("index", [True, 1.0])
+    def test_getitem_refuses_a_non_int_index(self, index):
+        # True and 1.0 are not read as the index 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"series index must be an integer, got {index!r} (a {type(index).__name__})")):
+            EgfSeries([0, 5, 7])[index]
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_getitem_keeps_index_error_out_of_range(self, index):
+        # -1 does not read from the end, and order + 1 is past the last valid coefficient
+        with pytest.raises(IndexError, match=f"index {index} outside valid order 2"):
+            EgfSeries([0, 5, 7])[index]
 
     def test_truncate_never_extends(self):
         f = EgfSeries([1, 2, 3])

@@ -1,6 +1,5 @@
 """Behaviour of the identity-verification suites and their reports."""
 
-import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +12,7 @@ from opseries import (
     EgfSeries,
     MultiPoly,
     RandomSpec,
+    VerifyReport,
     bell_eval_bullet,
     classical_inverse,
     power_diamond,
@@ -34,7 +34,7 @@ import opseries.series as series_module
 import opseries.verify as verify_module
 from opseries.cli import main
 from opseries.combinat import stirling2
-from opseries.verify import SUITES, _indices_up_to, _report, _trial_seed
+from opseries.verify import SUITES, UNREAD_FLAGS, _indices_up_to, _report, _trial_seed
 from test_series import TAKES_INVERTIBLE
 
 
@@ -166,7 +166,25 @@ class TestRandomGenerators:
         assert info.hits > 20
 
     def test_spec_has_only_the_knobs_the_generators_read(self):
-        assert [f.name for f in dataclasses.fields(RandomSpec)] == ["seed", "n", "max_degree"]
+        assert RandomSpec.__slots__ == ("seed", "n", "max_degree")
+
+    def test_spec_compares_and_hashes_by_value_and_is_immutable(self):
+        spec = RandomSpec(7)
+        assert (spec.seed, spec.n, spec.max_degree) == (7, 2, 2)
+        assert spec == RandomSpec(seed=7, n=2, max_degree=2)
+        assert hash(spec) == hash(RandomSpec(7, 2, 2))
+        assert spec not in {RandomSpec(8), RandomSpec(7, 3), RandomSpec(7, max_degree=1)}
+        with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
+            spec.seed = 8
+        with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+            del spec.n
+
+    def test_report_takes_its_fields_in_order(self):
+        report = VerifyReport("t", "d", "l", "r", True)
+        assert report.elapsed == 0.0
+        assert VerifyReport("t", "d", "l", "r", False, elapsed=1.5).elapsed == 1.5
+        assert report.as_dict() == {
+            "theorem": "t", "description": "d", "left": "l", "right": "r", "passed": True}
 
     def test_invertible_series_shape(self):
         for seed in range(10):
@@ -249,13 +267,16 @@ class TestSuites:
         forbid_unit_operands(monkeypatch, 2)
         assert check(op)
 
+    def test_classical_inverse_forms_no_series_product_and_one_reciprocal(self, monkeypatch):
+        # Miller's recurrence forms the powers of x/f over integers: the one series
+        # operation is the reciprocal of f/x
+        calls = {name: count_calls(monkeypatch, EgfSeries, name)
+                 for name in ("__mul__", "__rmul__", "compose", "exp", "ln", "reciprocal")}
+        assert classical_inverse(EgfSeries([0, 2, -1, 1, 0, 3, 1]), 5)[1] == Fraction(1, 2)
+        assert {name: len(c) for name, c in calls.items() if c} == {"reciprocal": 1}
+
     @pytest.mark.parametrize(
-        "check",
-        [
-            lambda: classical_inverse(EgfSeries([0, 2, -1, 1, 0, 3, 1]), 5)[1] == Fraction(1, 2),
-            lambda: verify_exp_identity_xd(5).passed,
-        ],
-        ids=["classical_inverse", "exp_identity_xd"],
+        "check", [lambda: verify_exp_identity_xd(5).passed], ids=["exp_identity_xd"],
     )
     def test_no_series_product_takes_a_unit_operand(self, monkeypatch, check):
         original = EgfSeries.__mul__
@@ -545,6 +566,26 @@ class TestRunSuite:
                                              f"it reads {reads}"):
             run_suite(name, **{flag: 3})
 
+    @pytest.mark.parametrize(
+        "name, flag",
+        [("stirling", "trials"), ("stirling", "n"), ("stirling", "degree"),
+         ("inversion", "n"), ("inversion", "degree")],
+    )
+    def test_an_instance_flag_the_suite_does_not_read_is_refused(self, monkeypatch, name, flag):
+        monkeypatch.setattr(verify_module, "_trials", lambda *a, **k: pytest.fail("ran"))
+        monkeypatch.setattr(verify_module, "verify_stirling_power", lambda m: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=f"^suite '{name}' does not read --{flag}$"):
+            run_suite(name, **{flag: 1})
+
+    def test_unset_instance_flags_take_their_defaults(self):
+        # every suite takes --seed; a suite that reads trials, n or degree defaults them to 1, 2, 2
+        assert [r.as_dict() for r in run_suite("stirling", seed=5)] == [
+            r.as_dict() for r in run_suite("stirling")]
+        for name, flags in [("corollary", {"trials": 1, "n": 2, "degree": 2}),
+                            ("inversion", {"trials": 1})]:
+            assert [r.as_dict() for r in run_suite(name, seed=5)] == [
+                r.as_dict() for r in run_suite(name, seed=5, **flags)]
+
     def test_every_report_is_timed_on_its_own_sides(self, monkeypatch):
         ticks = iter(range(1000))
         monkeypatch.setattr(verify_module.time, "perf_counter", lambda: next(ticks))
@@ -553,7 +594,8 @@ class TestRunSuite:
 
     def test_every_suite_runs_green(self):
         for name in SUITES:
-            reports = run_suite(name, seed=3, trials=2)
+            trials = {} if "trials" in UNREAD_FLAGS.get(name, ()) else {"trials": 2}
+            reports = run_suite(name, seed=3, **trials)
             assert reports, name
             assert all(r.passed for r in reports), name
 
@@ -567,7 +609,7 @@ class TestRunSuite:
         ops = random_op_list(RandomSpec(seed=_trial_seed(4, 1), n=1, max_degree=3), 3)
         again = verify_partition_expansion(ops, "seed=4 trial=1 n=1 degree<=3")
         assert again.as_dict() == reports[1].as_dict()
-        (inversion,) = run_suite("inversion", seed=4, n=1, degree=3)
+        (inversion,) = run_suite("inversion", seed=4)
         assert inversion.description.startswith("seed=4 trial=0 order=8 ")
 
     def test_summand_counts_match_bell_numbers(self):

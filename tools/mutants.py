@@ -123,6 +123,18 @@ MUTANTS = (
         "if not least <= value <= most:",
         "if not least <= value:",
     ),
+    Mutant(
+        "SetPartition equality ignores blocks",
+        "src/opseries/combinat.py",
+        "return self.m == other.m and self.blocks == other.blocks",
+        "return self.m == other.m",
+    ),
+    Mutant(
+        "IntPartition equality ignores multiplicities",
+        "src/opseries/combinat.py",
+        "return self.m == other.m and self.multiplicities == other.multiplicities",
+        "return self.m == other.m",
+    ),
     # each checker below passes when its right side is replaced by its left one,
     # unless a test breaks one ingredient of that side and expects a failure
     Mutant(
