@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import combinations, islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diffop import (
     DiffOp, _block, _check_indices, _check_op_list, _circ_powers, _sum, unit_op,
@@ -254,7 +254,8 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     Substitutes ``x_i -> (diamond power of op, i-1 times) circ op`` and takes
     every monomial product with ``bullet``.  The generators are formed as
     ``G_1 = op`` and ``G_i = op o G_(i-1)``, ``m - 1`` circs and no diamond
-    power.  ``m = 0`` gives the unit operator (empty product).
+    power, and each monomial, times its count, streams into one
+    ``multipoly._sum``.  ``m = 0`` gives the unit operator (empty product).
     """
     _check_int(m, 0, "degree must be a non-negative integer")
     if not op.is_first_order():
@@ -267,24 +268,21 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     if bullets > MAX_BELL_BULLETS:
         msg = f"degree {m} needs {bullets} bullet products, over the bound of {MAX_BELL_BULLETS}"
         raise ValueError(msg)
-    generators = [*islice(_circ_powers(op), m)]  # op^{i-1} o op, with no diamond power
-    # each generator is first order, so a monomial of k parts has derivative order k: one
-    # sum per k keeps every addition to the terms of one order
-    totals: dict[int, DiffOp] = {}
-    # (generator index, product of the factors up to it) for the previous monomial's factors;
-    # a monomial reuses the products over the prefix it shares with the previous one
-    prefix: list[tuple[int, DiffOp]] = []
-    for part, count in terms.items():
-        factors = [i for i, mult in enumerate(part.multiplicities) for _ in range(mult)]
-        shared = 0
-        while shared < min(len(factors), len(prefix)) and prefix[shared][0] == factors[shared]:
-            shared += 1
-        del prefix[shared:]
-        for i in factors[shared:]:
-            prefix.append((i, prefix[-1][1].bullet(generators[i]) if prefix else generators[i]))
-        term = count * prefix[-1][1]
-        totals[len(factors)] = totals[len(factors)] + term if len(factors) in totals else term
-    return reduce(DiffOp.__add__, totals.values())
+    gens = [*islice(_circ_powers(op), m)]  # op^{i-1} o op, with no diamond power
+    def monomials() -> Iterator[DiffOp]:
+        # (generator index, product of the factors up to it) for the previous monomial's
+        # factors; a monomial reuses the products over the prefix it shares with the previous one
+        prefix: list[tuple[int, DiffOp]] = []
+        for part, count in terms.items():
+            factors = [i for i, mult in enumerate(part.multiplicities) for _ in range(mult)]
+            shared = 0
+            while shared < min(len(factors), len(prefix)) and prefix[shared][0] == factors[shared]:
+                shared += 1
+            del prefix[shared:]
+            for i in factors[shared:]:
+                prefix.append((i, prefix[-1][1].bullet(gens[i]) if prefix else gens[i]))
+            yield count * prefix[-1][1]
+    return _sum(n, monomials())
 
 
 def partition_operator(

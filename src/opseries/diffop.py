@@ -57,10 +57,8 @@ split, one reduced coefficient polynomial at a time.  ``str()`` reads the
 same split but builds no coefficient polynomial and no ``Fraction``: each
 term is its numerator over the symbol's denominator, put in lowest terms
 by one gcd.  The products work on ``MultiPoly``'s packed storage
-(``_nums``, ``_den``, ``_reduced``, ``_mul_into``), and so does the private
-n-ary sum ``_sum``, which merges a stream of operators into one numerator
-map over a running denominator and reduces once; nothing outside this
-module sees the symbol.
+(``_nums``, ``_den``, ``_reduced``, ``_mul_into``) and every sum is
+``multipoly._sum`` of symbols; nothing outside this module sees the symbol.
 """
 
 from __future__ import annotations
@@ -87,6 +85,7 @@ from .multipoly import (
     _nums_str,
     _pack,
     _product_result,
+    _sum as _sum_polys,
     _term,
     _unpack,
     index_binomial,
@@ -239,6 +238,7 @@ class DiffOp:
 
     def diamond(self, other: DiffOp) -> DiffOp:
         """Operator composition (associative): the full Leibniz sum over gamma <= alpha."""
+        _check_operand(other, DiffOp, "diamond")
         # g stops at other's largest exponent of each x (top), past which d_x^g(other) is 0
         n, mask = other._n, (1 << (W * other._n)) - 1
         top = (0,) * n
@@ -248,10 +248,12 @@ class DiffOp:
 
     def circ(self, other: DiffOp) -> DiffOp:
         """White product: the left derivative acts on the right coefficient only."""
+        _check_operand(other, DiffOp, "circ")
         return self._product(other, lambda alpha: (alpha,))
 
     def bullet(self, other: DiffOp) -> DiffOp:
         """Black product: coefficients multiply, derivative orders add (commutative)."""
+        _check_operand(other, DiffOp, "bullet")
         _check_same_n(self._n, other._n)
         return DiffOp._of_symbol(self._n, self._sym * other._sym)
 
@@ -261,6 +263,7 @@ class DiffOp:
         Every product ``u_beta * d^beta(p)`` is summed into one numerator map
         over one denominator, the symbol's times ``p``'s, and reduced once.
         """
+        _check_operand(p, MultiPoly, "apply")
         _check_same_n(self._n, p.n)
         n, den = self._n, p._den
         mask = (1 << (W * n)) - 1
@@ -304,31 +307,22 @@ class DiffOp:
         return f"DiffOp({self._n}, {self})"
 
 
+def _check_operand(value: object, cls: type, method: str) -> None:
+    # a product's or apply's operand: any other value would fail deep inside with an
+    # AttributeError that names a private field
+    if not isinstance(value, cls):
+        raise TypeError(f"{method} expects a {cls.__name__}, got {type(value).__name__}")
+
+
 def unit_op(n: int) -> DiffOp:
     """The operator ``1 * d^0``: two-sided identity for diamond, left identity for circ."""
     return DiffOp.single(MultiPoly.const(n, 1), (0,) * n)
 
 
 def _sum(n: int, ops: Iterable[DiffOp]) -> DiffOp:
-    # the sum of operators over n variables, each merged as it comes into one numerator map
-    # over a running denominator, which grows (and the map is rescaled in place) only when an
-    # addend's denominator does not divide it; one _reduced at the end.  ops may be a lazy
-    # generator: no addend is kept once merged
-    nums: dict[int, int] = {}
-    den = 1
-    for op in ops:
-        _check_same_n(n, op._n)
-        sym = op._sym
-        k, r = divmod(den, sym._den)
-        if r:
-            grown = math.lcm(den, sym._den)
-            s = grown // den
-            for key, c in nums.items():
-                nums[key] = c * s
-            den, k = grown, grown // sym._den
-        for key, c in sym._nums.items():
-            nums[key] = nums.get(key, 0) + c * k
-    return DiffOp._of_symbol(n, MultiPoly._reduced(2 * n, nums, den))
+    # the sum of operators over n variables, ops perhaps a lazy generator; the check of each
+    # symbol's 2n variables in multipoly._sum is the check of each operator's n
+    return DiffOp._of_symbol(n, _sum_polys(2 * n, (op._sym for op in ops)))
 
 
 def _check_op_list(ops: Sequence[DiffOp]) -> int:

@@ -27,6 +27,11 @@ and ``constant_term()`` hand back reduced ``fractions.Fraction`` values,
 which makes all the identity checks elsewhere in the package plain
 equality tests.  ``str()`` forms no ``Fraction``: it renders each stored
 numerator over the shared denominator, in lowest terms by one gcd.
+
+Every sum in the package, ``+`` and the n-ary sums of ``diffop`` and
+``combinat``, is ``_sum``: it copies the first addend's numerator map,
+merges each later one into it over a running denominator, rescaling the
+map only when that denominator grows, and reduces once.
 """
 
 from __future__ import annotations
@@ -296,13 +301,7 @@ class MultiPoly:
     def __add__(self, other: MultiPoly) -> MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        _check_same_n(self._n, other._n)
-        den = math.lcm(self._den, other._den)
-        out = _scaled(self._nums, den // self._den)
-        k = den // other._den
-        for alpha, c in other._nums.items():
-            out[alpha] = out.get(alpha, 0) + c * k
-        return MultiPoly._reduced(self._n, out, den)
+        return _sum(self._n, (self, other))
 
     def __sub__(self, other: MultiPoly) -> MultiPoly:
         if not isinstance(other, MultiPoly):
@@ -362,3 +361,22 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._n}, {self})"
+
+
+def _sum(n: int, polys: Iterable[MultiPoly]) -> MultiPoly:
+    # the sum of the module docstring; polys may be a lazy generator, and no addend changes
+    nums, den = {}, 1
+    for p in polys:
+        _check_same_n(n, p._n)
+        if not nums:  # a zero sum so far: start from a copy of p's map, never p's map itself
+            nums, den = dict(p._nums), p._den
+            continue
+        if den % p._den:  # the running denominator grows to lcm(den, p._den) = den * s
+            s = p._den // math.gcd(den, p._den)
+            for key, c in nums.items():
+                nums[key] = c * s
+            den *= s
+        k = den // p._den
+        for key, c in p._nums.items():
+            nums[key] = nums.get(key, 0) + c * k
+    return MultiPoly._reduced(n, nums, den)

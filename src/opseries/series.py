@@ -126,6 +126,8 @@ class EgfSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar | str]):
+        if isinstance(coeffs, str):  # "012" would iterate as the coefficients 0, 1, 2
+            raise ValueError(f"coefficients must be a sequence of scalars, not the str {coeffs!r}")
         coeffs = tuple(map(_scalar, coeffs))
         if not coeffs:
             raise ValueError("a series carries at least its constant term")

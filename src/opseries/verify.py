@@ -10,13 +10,13 @@ seed and sizes, which is enough to regenerate the instance exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, islice, repeat
+from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling2
@@ -132,19 +132,36 @@ def _trials(
         yield random.Random(_trial_seed(spec.seed, t)), desc
 
 
-@functools.lru_cache(maxsize=2)  # a suite run reads two bounds: degree and derivative order
-def _indices_up_to(n: int, bound: int) -> tuple[MultiIndex, ...]:
-    # the n-tuples with sum <= bound in the order of product(range(bound + 1), repeat=n),
-    # which rng.sample reads: the successive differences of the non-decreasing n-tuples
-    # over 0..bound, in the same lexicographic order.  Every polynomial drawn samples
-    # it, so it is built once per (n, bound) and shared, hence a tuple.
-    return tuple(tuple(map(operator.sub, d, (0, *d[:-1])))
-                 for d in combinations_with_replacement(range(bound + 1), n))
+def _index_at(n: int, bound: int, rank: int) -> MultiIndex:
+    # the rank-th n-tuple with sum <= bound in the order of product(range(bound + 1), repeat=n),
+    # which is the order of the successive differences of combinations_with_replacement(
+    # range(bound + 1), n), with no table: each entry is the least e whose completions, the
+    # C(bound - e + rest, rest) tuples of the rest entries with sum <= bound - e, pass rank;
+    # the last entry, with one completion per value, is what is left of rank
+    alpha = []
+    for rest in range(n - 1, 0, -1):
+        e = 0
+        while rank >= (count := math.comb(bound - e + rest, rest)):
+            rank -= count
+            e += 1
+        alpha.append(e)
+        bound -= e
+    return (*alpha, rank)
+
+
+def _indices_from_rng(rng: random.Random, n: int, bound: int, most: int) -> list[MultiIndex]:
+    # 1..most distinct n-tuples with sum <= bound: rng.sample over the C(n + bound, n) ranks
+    # draws exactly what it drew from the list of every tuple, which is never built
+    size = math.comb(n + bound, n)
+    if size > sys.maxsize:  # rng.sample takes the len() of its range
+        raise ValueError(f"n = {n} and bound {bound} give C({n + bound}, {n}) monomials to "
+                         f"draw from, more than the {sys.maxsize} a draw can index")
+    ranks = rng.sample(range(size), rng.randint(1, min(most, size)))
+    return [_index_at(n, bound, r) for r in ranks]
 
 
 def _poly_from_rng(rng: random.Random, spec: RandomSpec) -> MultiPoly:
-    monomials = _indices_up_to(spec.n, spec.max_degree)
-    chosen = rng.sample(monomials, rng.randint(1, min(3, len(monomials))))
+    chosen = _indices_from_rng(rng, spec.n, spec.max_degree, 3)
     return MultiPoly(spec.n, {alpha: rng.choice(DEFAULT_POOL) for alpha in chosen})
 
 
@@ -153,8 +170,7 @@ def _vector_field_from_rng(rng: random.Random, spec: RandomSpec) -> DiffOp:
 
 
 def _diffop_from_rng(rng: random.Random, spec: RandomSpec, max_order: int = 2) -> DiffOp:
-    betas = _indices_up_to(spec.n, max_order)
-    chosen = rng.sample(betas, rng.randint(1, 2))
+    chosen = _indices_from_rng(rng, spec.n, max_order, 2)
     return DiffOp(spec.n, {beta: _poly_from_rng(rng, spec) for beta in chosen})
 
 

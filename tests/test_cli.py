@@ -238,6 +238,13 @@ class TestVerify:
         assert out == ""
         assert f"suite '{argv[0]}' does not read {argv[1]}" in err
 
+    def test_more_monomials_than_a_draw_can_index_exits_2(self, capsys):
+        # C(68, 34) > 2**63 - 1: neither a table of them nor a len() of their ranks exists
+        code, out, err = run(["verify", "prop1", "--n", "34", "--degree", "34"], capsys)
+        assert code == 2 and out == ""
+        assert "give C(68, 34) monomials to draw from, more than the" in err
+        assert run(["verify", "prop1", "--n", "33", "--degree", "33"], capsys)[0] == 0
+
     def test_a_failing_check_exits_1_and_shows_both_sides(self, monkeypatch, capsys):
         monkeypatch.setattr(verify_module, "stirling2", lambda m, k: stirling2(m, k + 1))
         code, out, _ = run(["verify", "stirling", "--m", "3"], capsys)

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from opseries import (
     DiffOp,
     MultiPoly,
+    bell_eval_bullet,
+    bell_polynomial,
     diamond_chain,
     partition_operator,
     power_diamond,
@@ -126,6 +128,18 @@ class TestProducts:
         )
         y = DiffOp(2, {(1, 1): MultiPoly.variable(2, 0), (0, 1): MultiPoly.const(2, 3)})
         assert u.diamond(y) == u.circ(y) + u.bullet(y)
+
+    @pytest.mark.parametrize("method, operand", [
+        *((method, operand) for method in ("diamond", "circ", "bullet")
+          for operand in (5, "x1", MultiPoly.variable(1, 0))),
+        *(("apply", operand) for operand in (5, "x1", xd())),
+    ])
+    def test_a_wrong_operand_is_refused_by_type(self, method, operand):
+        # it would fail deep inside with an AttributeError that names a private field
+        expected = "MultiPoly" if method == "apply" else "DiffOp"
+        message = f"{method} expects a {expected}, got {type(operand).__name__}"
+        with pytest.raises(TypeError, match=message):
+            getattr(xd(), method)(operand)
 
     def test_apply_scales_monomial(self):
         p = MultiPoly(1, {(2,): 1})
@@ -357,6 +371,68 @@ class TestStreamedSum:
     def test_refuses_another_variable_count(self):
         with pytest.raises(ValueError, match="variable-count mismatch"):
             _sum(2, [unit_op(2), unit_op(1)])
+
+
+def fraction_sum(terms):
+    """The sum of (key, Fraction) pairs, zeros dropped: no numerator map, no running den."""
+    total = {}
+    for key, c in terms:
+        total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if c}
+
+
+def op_terms(op, scale=1):
+    """An operator's ((beta, alpha), Fraction) pairs, read through its public items()."""
+    return [((beta, alpha), scale * c) for beta, u in op.items() for alpha, c in u.items()]
+
+
+def op_of_terms(n, terms):
+    by_beta = {}
+    for (beta, alpha), c in terms.items():
+        by_beta.setdefault(beta, {})[alpha] = c
+    return DiffOp(n, {beta: MultiPoly(n, coeffs) for beta, coeffs in by_beta.items()})
+
+
+class TestSumsAgainstFractions:
+    """Every sum of the package, which runs multipoly._sum, against Fraction-level sums."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(polys(n), min_size=1, max_size=5)))
+    @settings(max_examples=80)
+    def test_polynomial_sums(self, ps):
+        n = ps[0].n
+        before = [(dict(p._nums), p._den) for p in ps]
+        expected = fraction_sum(term for p in ps for term in p.items())
+        for total in multipoly_module._sum(n, iter(ps)), reduce(MultiPoly.__add__, ps):
+            assert dict(total.items()) == expected and total == MultiPoly(n, expected)
+        assert [(p._nums, p._den) for p in ps] == before  # no addend changes, the first included
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.lists(mixed_ops(n), min_size=1, max_size=5)))
+    @settings(max_examples=60)
+    def test_operator_sums(self, ops):
+        n = ops[0].n
+        before = [(dict(op._sym._nums), op._sym._den) for op in ops]
+        expected = fraction_sum(term for op in ops for term in op_terms(op))
+        total = _sum(n, iter(ops))
+        assert dict(op_terms(total)) == expected and total == op_of_terms(n, expected)
+        assert [(op._sym._nums, op._sym._den) for op in ops] == before
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(st.integers(1, 6), vector_fields(n, 1))))
+    @settings(max_examples=20)
+    def test_bell_eval_bullet(self, case):
+        # each monomial a bullet product of the generators op^(i-1) o op, the count applied
+        # to the product's Fractions and every term summed as a Fraction
+        m, op = case
+        before = (dict(op._sym._nums), op._sym._den)
+        generators = [power_diamond(op, i).circ(op) for i in range(m)]
+        expected = fraction_sum(
+            term for part, count in bell_polynomial(m).terms.items()
+            for term in op_terms(reduce(DiffOp.bullet, [
+                g for g, mult in zip(generators, part.multiplicities) for _ in range(mult)
+            ]), count)
+        )
+        total = bell_eval_bullet(m, op)
+        assert dict(op_terms(total)) == expected and total == op_of_terms(op.n, expected)
+        assert (op._sym._nums, op._sym._den) == before
 
 
 def fraction_term_reference(c, factors):

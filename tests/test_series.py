@@ -85,6 +85,13 @@ class TestArithmetic:
         f = EgfSeries([1, 2, 3])
         assert f + EgfSeries.zero(2) == f
 
+    @pytest.mark.parametrize("coeffs", ["012", "1/2", ""])
+    def test_a_str_is_not_read_as_its_characters(self, coeffs):
+        # "012" would otherwise be the series [0, 1, 2]
+        contract = "coefficients must be a sequence of scalars, not the str"
+        with pytest.raises(ValueError, match=contract):
+            EgfSeries(coeffs)
+
     def test_x_squared(self):
         x = EgfSeries([0, 1, 0])
         assert x * x == EgfSeries([0, 0, 2])

@@ -1,9 +1,11 @@
 """Behaviour of the identity-verification suites and their reports."""
 
 import json
+import operator
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -16,6 +18,7 @@ from opseries import (
     bell_eval_bullet,
     classical_inverse,
     power_diamond,
+    random_diffop,
     random_invertible_series,
     random_op_list,
     random_vector_field,
@@ -34,7 +37,7 @@ import opseries.series as series_module
 import opseries.verify as verify_module
 from opseries.cli import main
 from opseries.combinat import stirling2
-from opseries.verify import SUITES, UNREAD_FLAGS, _indices_up_to, _report, _trial_seed
+from opseries.verify import SUITES, UNREAD_FLAGS, _index_at, _report, _trial_seed
 from test_series import TAKES_INVERTIBLE
 
 
@@ -145,25 +148,28 @@ class TestRandomGenerators:
         spec = RandomSpec(seed=5)
         assert random_op_list(spec, 4) == random_op_list(spec, 4)
 
-    def test_indices_up_to_is_the_filtered_product_in_order(self):
-        # rng.sample reads the list by position, so its order is part of the contract
+    def test_index_at_unranks_the_old_table_in_order(self):
+        # rng.sample draws ranks, so the order is part of the contract: the reference is the
+        # table the generators sampled before, which is also the filtered product
         for n in range(1, 6):
             for bound in range(5):
-                expected = [t for t in product(range(bound + 1), repeat=n) if sum(t) <= bound]
-                assert list(_indices_up_to(n, bound)) == expected
+                table = [tuple(map(operator.sub, d, (0, *d[:-1])))
+                         for d in combinations_with_replacement(range(bound + 1), n)]
+                assert table == [t for t in product(range(bound + 1), repeat=n) if sum(t) <= bound]
+                assert [_index_at(n, bound, r) for r in range(len(table))] == table
 
-    def test_indices_up_to_does_not_enumerate_the_full_product(self):
-        # filtering product(range(3), repeat=20) would visit 3^20 tuples
-        assert len(_indices_up_to(20, 2)) == 231
+    def test_index_at_does_not_enumerate_the_full_product(self):
+        # filtering product(range(3), repeat=20) would visit 3^20 tuples, and the table of
+        # C(24, 12) = 2,704,156 tuples at n = degree = 12 is never built
+        assert _index_at(20, 2, 0) == (0,) * 20
+        assert _index_at(20, 2, 230) == (2,) + (0,) * 19
+        assert _index_at(12, 12, comb(24, 12) - 1) == (12,) + (0,) * 11
+        assert _index_at(12, 12, 1) == (0,) * 11 + (1,)
 
-    def test_indices_are_enumerated_once_per_bound(self):
-        # every polynomial drawn samples the same list, so a suite run builds it
-        # once for the coefficient degree and once for the derivative order
-        _indices_up_to.cache_clear()
-        run_suite("prop1", seed=1, trials=3, n=3, degree=3)
-        info = _indices_up_to.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
-        assert info.hits > 20
+    def test_a_diffop_of_order_zero_has_one_term_to_draw(self):
+        # one derivative index, d^0, so one is drawn: the count is capped at the population
+        for seed in range(8):
+            assert random_diffop(RandomSpec(seed=seed), 0).orders() <= {0}
 
     def test_spec_has_only_the_knobs_the_generators_read(self):
         assert RandomSpec.__slots__ == ("seed", "n", "max_degree")

@@ -106,10 +106,16 @@ MUTANTS = (
         "g = 1",
     ),
     Mutant(
-        "the streamed operator sum without the in-place rescale of its running map",
-        "src/opseries/diffop.py",
+        "the streamed sum without the in-place rescale of its running map",
+        "src/opseries/multipoly.py",
         "nums[key] = c * s",
         "nums[key] = c",
+    ),
+    Mutant(
+        "the streamed sum merges into its first addend's map instead of a copy",
+        "src/opseries/multipoly.py",
+        "nums, den = dict(p._nums), p._den",
+        "nums, den = p._nums, p._den",
     ),
     Mutant(
         "the integer contract reads a bool as an int (True as 1)",
