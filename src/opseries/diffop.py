@@ -56,9 +56,12 @@ index; ``items()``, ``coefficient()`` and ``orders()`` read it through that
 split, one reduced coefficient polynomial at a time.  ``str()`` reads the
 same split but builds no coefficient polynomial and no ``Fraction``: each
 term is its numerator over the symbol's denominator, put in lowest terms
-by one gcd.  The products work on ``MultiPoly``'s packed storage
-(``_nums``, ``_den``, ``_reduced``, ``_mul_into``) and every sum is
-``multipoly._sum`` of symbols; nothing outside this module sees the symbol.
+by one gcd, and each distinct x-monomial is rendered once per call.  The
+products work on ``MultiPoly``'s packed storage (``_nums``, ``_den``,
+``_reduced``, ``_mul_into``) and every sum is ``multipoly._sum`` of
+symbols; an addend may be a pair ``(X, Y)`` for ``X . Y``, whose symbols'
+product that sum multiply-accumulates with no product operator formed.
+Nothing outside this module sees the symbol.
 """
 
 from __future__ import annotations
@@ -82,7 +85,6 @@ from .multipoly import (
     _join_signed,
     _monomial_str,
     _mul_into,
-    _nums_str,
     _pack,
     _product_result,
     _sum as _sum_polys,
@@ -153,12 +155,17 @@ class DiffOp:
     @classmethod
     def single(cls, coeff: MultiPoly, beta: MultiIndex) -> DiffOp:
         """The generator ``coeff * d^beta``."""
-        return cls(coeff.n, {tuple(beta): coeff})
+        _check_operand(coeff, MultiPoly, "single")
+        return cls(coeff.n, {_check_exponents(beta, coeff.n, "derivative multi-index"): coeff})
 
     @classmethod
     def vector_field(cls, coeffs: Sequence[MultiPoly]) -> DiffOp:
         """First-order operator ``sum_j u_j d_j`` from its coefficient list."""
-        n = len(coeffs)
+        try:
+            n = len(coeffs)
+        except TypeError:
+            msg = f"vector_field expects a sequence of coefficients, got {coeffs!r}"
+            raise ValueError(msg) from None
         terms: dict[MultiIndex, MultiPoly] = {}
         for j, u in enumerate(coeffs):
             terms[tuple(1 if i == j else 0 for i in range(n))] = u
@@ -287,18 +294,29 @@ class DiffOp:
 
     def __str__(self) -> str:
         # a one-term coefficient c*x^alpha merges into its term; a longer one
-        # is a parenthesised factor with scalar one, so it carries no sign
+        # is a parenthesised factor with scalar one, so it carries no sign. Each distinct
+        # x-monomial is unpacked and rendered once per call, with its graded-lex sort key:
+        # the coefficients of a large operator share few of them
         n, den = self._n, self._sym._den
         mask = (1 << (W * n)) - 1
         groups = self._groups()
+        monomials: dict[int, tuple[tuple[int, MultiIndex], str]] = {}
         parts = []
         for beta, a in _graded_lex((_unpack(a, n), a) for a in groups):
-            terms = [(_unpack(key & mask, n), c) for key, c in groups[a].items()]
+            terms = []
+            for key, c in groups[a].items():
+                key &= mask
+                if key not in monomials:
+                    alpha = _unpack(key, n)
+                    monomials[key] = (sum(alpha), alpha), _monomial_str(alpha)
+                terms.append((monomials[key], c))
             if len(terms) == 1:
-                ((alpha, c),) = terms
-                mono, d = _monomial_str(alpha), den
+                (((_, mono), c),) = terms
+                d = den
             else:
-                c, d, mono = 1, 1, f"({_nums_str(terms, den)})"
+                terms.sort(key=lambda t: t[0][0], reverse=True)  # _graded_lex's order
+                inner = _join_signed([_term(c, den, mono) for (_, mono), c in terms])
+                c, d, mono = 1, 1, f"({inner})"
             dpart = _monomial_str(beta, "d")
             parts.append(_term(c, d, f"{mono}*{dpart}" if mono and dpart else mono or dpart))
         return _join_signed(parts)
@@ -319,22 +337,25 @@ def unit_op(n: int) -> DiffOp:
     return DiffOp.single(MultiPoly.const(n, 1), (0,) * n)
 
 
-def _sum(n: int, ops: Iterable[DiffOp]) -> DiffOp:
-    # the sum of operators over n variables, ops perhaps a lazy generator; the check of each
-    # symbol's 2n variables in multipoly._sum is the check of each operator's n
-    return DiffOp._of_symbol(n, _sum_polys(2 * n, (op._sym for op in ops)))
+def _sum(n: int, addends: Iterable[DiffOp | tuple[DiffOp, DiffOp]]) -> DiffOp:
+    # the sum of operators over n variables, addends perhaps a lazy generator; a pair (X, Y)
+    # stands for X . Y and passes on as its symbols' pair, which multipoly._sum
+    # multiply-accumulates with no product operator formed; the check of each symbol's 2n
+    # variables there is the check of each operator's n
+    symbols = (a._sym if isinstance(a, DiffOp) else (a[0]._sym, a[1]._sym) for a in addends)
+    return DiffOp._of_symbol(n, _sum_polys(2 * n, symbols))
 
 
 def _check_op_list(ops: Sequence[DiffOp]) -> int:
     if not ops:
         raise ValueError("operator list must be non-empty")
-    n = ops[0].n
     for k, op in enumerate(ops, start=1):
-        if op.n != n:
+        _check_operand(op, DiffOp, "an operator list")
+        if op.n != ops[0].n:
             raise ValueError("all operators must share the same variable count")
         if not op.is_first_order():
             raise ValueError(f"operator {k} is not first order")
-    return n
+    return ops[0].n
 
 
 def _check_indices(indices: Iterable[int]) -> tuple[int, ...]:
@@ -409,5 +430,6 @@ def _circ_powers(op: DiffOp) -> Iterator[DiffOp]:
 
 def power_diamond(op: DiffOp, m: int) -> DiffOp:
     """m-fold composition power; the empty product is the unit operator."""
+    _check_operand(op, DiffOp, "power_diamond")
     _check_int(m, 0, "power must be a non-negative integer")
     return next(islice(_diamond_powers(op), m, None))

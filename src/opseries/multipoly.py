@@ -31,7 +31,11 @@ numerator over the shared denominator, in lowest terms by one gcd.
 Every sum in the package, ``+`` and the n-ary sums of ``diffop`` and
 ``combinat``, is ``_sum``: it copies the first addend's numerator map,
 merges each later one into it over a running denominator, rescaling the
-map only when that denominator grows, and reduces once.
+map only when that denominator grows, and reduces once.  An addend may
+also be a factor pair ``(p, q)``: ``_mul_into`` multiply-accumulates
+``p * q`` straight into the running map, with the scale factor on the
+smaller factor, so no product polynomial is formed, and the guard bits of
+the whole map are checked once before zeros are dropped.
 """
 
 from __future__ import annotations
@@ -74,7 +78,11 @@ def _unpack(key: int, n: int) -> MultiIndex:
 
 def _check_exponents(alpha: Iterable[int], n: int, what: str) -> MultiIndex:
     """``alpha`` as a tuple of ``n`` ints (no bools) in ``[0, 2**31)``, else ValueError."""
-    alpha = tuple(alpha)
+    try:
+        alpha = tuple(alpha)
+    except TypeError:
+        msg = f"bad {what} {alpha!r} for {n} variables: need a sequence of ints"
+        raise ValueError(msg) from None
     if len(alpha) != n or any(
         not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in alpha
     ):
@@ -136,11 +144,6 @@ def _join_signed(parts: Iterable[tuple[bool, str]]) -> str:
     if not out:
         return "0"
     return "-" + out[3:] if out[1] == "-" else out[3:]
-
-
-def _nums_str(terms: Iterable[tuple[MultiIndex, int]], den: int) -> str:
-    # a polynomial rendered from its (exponent vector, numerator) pairs over den
-    return _join_signed([_term(c, den, _monomial_str(a)) for a, c in _graded_lex(terms)])
 
 
 def _scalar(c: object) -> Fraction:
@@ -336,14 +339,15 @@ class MultiPoly:
         alpha = _check_exponents(alpha, self._n, "derivative multi-index")
         if not any(alpha):
             return self  # immutable, so d^0 can hand back the instance itself
-        n = self._n
-        guard, packed = _guard(n), _pack(alpha)
+        guard, packed = _guard(self._n), _pack(alpha)
+        fields = [(W * i, a) for i, a in enumerate(alpha) if a]  # (bit offset, order) per x_i
+        low = (1 << W) - 1
         out: dict[int, int] = {}
         for gamma, c in self._nums.items():
             # field i keeps its guard bit iff gamma_i >= alpha_i: no borrow crosses fields
             if ((gamma | guard) - packed) & guard == guard:
-                for g, a in zip(_unpack(gamma, n), alpha):
-                    c *= math.perm(g, a)
+                for shift, a in fields:
+                    c *= math.perm((gamma >> shift) & low, a)
                 out[gamma - packed] = c
         return MultiPoly._reduced(self._n, out, self._den)
 
@@ -356,27 +360,47 @@ class MultiPoly:
         return hash((self._n, self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
-        n = self._n
-        return _nums_str(((_unpack(a, n), c) for a, c in self._nums.items()), self._den)
+        n, den = self._n, self._den
+        terms = _graded_lex((_unpack(a, n), c) for a, c in self._nums.items())
+        return _join_signed([_term(c, den, _monomial_str(a)) for a, c in terms])
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._n}, {self})"
 
 
-def _sum(n: int, polys: Iterable[MultiPoly]) -> MultiPoly:
-    # the sum of the module docstring; polys may be a lazy generator, and no addend changes
-    nums, den = {}, 1
-    for p in polys:
+def _sum(n: int, addends: Iterable[MultiPoly | tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    # the sum of the module docstring; addends may be a lazy generator, and no addend and no
+    # factor changes
+    nums: dict[int, int] = {}
+    den, paired = 1, False
+    for addend in addends:
+        pair = not isinstance(addend, MultiPoly)
+        if pair:  # a factor pair (p, q) stands for p * q
+            p, q = addend
+            _check_same_n(n, q._n)
+            d = p._den * q._den
+        else:
+            p = addend
+            d = p._den
         _check_same_n(n, p._n)
-        if not nums:  # a zero sum so far: start from a copy of p's map, never p's map itself
-            nums, den = dict(p._nums), p._den
-            continue
-        if den % p._den:  # the running denominator grows to lcm(den, p._den) = den * s
-            s = p._den // math.gcd(den, p._den)
+        if not nums:  # a zero sum so far: it starts over this addend's denominator
+            den = d
+        elif den % d:  # the running denominator grows to lcm(den, d) = den * s
+            s = d // math.gcd(den, d)
             for key, c in nums.items():
                 nums[key] = c * s
             den *= s
-        k = den // p._den
-        for key, c in p._nums.items():
-            nums[key] = nums.get(key, 0) + c * k
+        k = den // d
+        if pair:
+            paired = True
+            if len(q._nums) < len(p._nums):
+                p, q = q, p  # k goes on the smaller factor
+            nums = _mul_into(nums, p._nums if k == 1 else _scaled(p._nums, k), q._nums)
+        elif not nums:  # a copy of p's map, never p's map itself
+            nums = dict(p._nums)
+        else:
+            for key, c in p._nums.items():
+                nums[key] = nums.get(key, 0) + c * k
+    if paired:  # every product key is guard-checked, those whose numerators cancelled too
+        return _product_result(n, nums, den)
     return MultiPoly._reduced(n, nums, den)

@@ -128,7 +128,12 @@ class EgfSeries:
     def __init__(self, coeffs: Iterable[Scalar | str]):
         if isinstance(coeffs, str):  # "012" would iterate as the coefficients 0, 1, 2
             raise ValueError(f"coefficients must be a sequence of scalars, not the str {coeffs!r}")
-        coeffs = tuple(map(_scalar, coeffs))
+        try:
+            coeffs = map(_scalar, coeffs)  # map takes the iterator at once, not lazily
+        except TypeError:
+            msg = f"coefficients must be a sequence of scalars, got {coeffs!r}"
+            raise ValueError(msg) from None
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series carries at least its constant term")
         self._coeffs = coeffs

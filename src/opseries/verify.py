@@ -275,11 +275,12 @@ def verify_partition_expansion(ops: Sequence[DiffOp], description: str = "") -> 
     formed partition by partition: bullet is bilinear and commutative, so
     peeling the block that holds the minimum gives the subset recursion
     ``P(S) = sum over blocks B with min(S) in B of block(B) . P(S \\ B)``,
-    which forms ``(3^(m-1) - 1)/2`` bullet products instead of one chain per
-    partition.  Each block is built once, as one circ onto the block of
-    its first ``s - 1`` labels, and a singleton costs no product, so the
-    right side takes circs and bullets alone.  The left side is
-    :func:`diamond_chain`, its ``m - 1`` diamonds the only ones formed.
+    which takes ``(3^(m-1) - 1)/2`` bullet products instead of one chain per
+    partition, each multiply-accumulated into its subset's one sum.  Each
+    block is built once, as one circ onto the block of its first ``s - 1``
+    labels, and a singleton costs no product, so the right side takes circs
+    and bullets alone.  The left side is :func:`diamond_chain`, its
+    ``m - 1`` diamonds the only ones formed.
     """
     started = time.perf_counter()
     ops = list(ops)

@@ -26,7 +26,7 @@ import opseries.diffop as diffop_module
 import opseries.multipoly as multipoly_module
 from opseries.diffop import _circ_powers, _diamond_powers, _sum
 from opseries.multipoly import _join_signed, _monomial_str
-from test_multipoly import COEFFS, assert_unequal, polys
+from test_multipoly import COEFFS, assert_unequal, convolve_terms, polys
 
 
 def diffops(n=2, max_order=2, max_degree=2):
@@ -140,6 +140,37 @@ class TestProducts:
         message = f"{method} expects a {expected}, got {type(operand).__name__}"
         with pytest.raises(TypeError, match=message):
             getattr(xd(), method)(operand)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: DiffOp.single(5, (1,)), "single expects a MultiPoly", id="single"),
+        pytest.param(lambda: partition_operator([5], [[1]]), "an operator list expects a DiffOp",
+                     id="partition_operator"),
+        pytest.param(lambda: diamond_chain([xd(), 5], [1, 2]),
+                     "an operator list expects a DiffOp", id="diamond_chain"),
+        pytest.param(lambda: power_diamond(5, 2), "power_diamond expects a DiffOp",
+                     id="power_diamond"),
+        pytest.param(lambda: bell_eval_bullet(2, 5), "bell_eval_bullet expects a DiffOp",
+                     id="bell_eval_bullet"),
+    ])
+    def test_a_non_operator_argument_is_refused_by_type(self, call, message):
+        # each would fail with an AttributeError on an attribute of the int
+        with pytest.raises(TypeError, match=f"{message}, got int"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: DiffOp(1, {5: 1}), "bad derivative multi-index 5 for 1 variables: "
+                     "need a sequence of ints", id="constructor"),
+        pytest.param(lambda: DiffOp.single(MultiPoly.const(1, 1), 5),
+                     "bad derivative multi-index 5 for 1 variables", id="single"),
+        pytest.param(lambda: xd().coefficient(5), "bad derivative multi-index 5 for 1 variables",
+                     id="coefficient"),
+        pytest.param(lambda: DiffOp.vector_field(5),
+                     "vector_field expects a sequence of coefficients, got 5", id="vector_field"),
+    ])
+    def test_a_non_sequence_index_or_coefficient_list_is_refused(self, call, message):
+        # each would leak Python's own TypeError, which names no contract
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_apply_scales_monomial(self):
         p = MultiPoly(1, {(2,): 1})
@@ -329,13 +360,26 @@ MIXED = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(1, 
                          Fraction(-2, 3), Fraction(-5, 6), Fraction(4)])
 
 
-def mixed_ops(n, max_order=2):
-    """Operators whose coefficients have up to three terms over mixed denominators."""
-    coefficient = st.dictionaries(
+def mixed_polys(n):
+    """Polynomials of up to three terms over mixed denominators (zero included)."""
+    return st.dictionaries(
         st.tuples(*(st.integers(0, 2) for _ in range(n))), MIXED, max_size=3
     ).map(lambda d: MultiPoly(n, d))
+
+
+def mixed_ops(n, max_order=2):
+    """Operators whose coefficients have up to three terms over mixed denominators."""
     betas = st.tuples(*(st.integers(0, max_order) for _ in range(n)))
-    return st.dictionaries(betas, coefficient, max_size=3).map(lambda d: DiffOp(n, d))
+    return st.dictionaries(betas, mixed_polys(n), max_size=3).map(lambda d: DiffOp(n, d))
+
+
+def plain_or_pair(addend):
+    """A summand as plain addend or factor pair: ``x`` or ``(x, y)``."""
+    return st.one_of(addend, st.tuples(addend, addend))
+
+
+def factors_of(addends):
+    return [f for a in addends for f in (a if isinstance(a, tuple) else (a,))]
 
 
 class TestStreamedSum:
@@ -386,6 +430,12 @@ def op_terms(op, scale=1):
     return [((beta, alpha), scale * c) for beta, u in op.items() for alpha, c in u.items()]
 
 
+def op_product_terms(x, y):
+    """The bullet product's ((beta, alpha), Fraction) pairs: indices add, coefficients multiply."""
+    return [((tuple(map(operator.add, b, b2)), tuple(map(operator.add, a, a2))), c * d)
+            for (b, a), c in op_terms(x) for (b2, a2), d in op_terms(y)]
+
+
 def op_of_terms(n, terms):
     by_beta = {}
     for (beta, alpha), c in terms.items():
@@ -415,6 +465,54 @@ class TestSumsAgainstFractions:
         total = _sum(n, iter(ops))
         assert dict(op_terms(total)) == expected and total == op_of_terms(n, expected)
         assert [(op._sym._nums, op._sym._den) for op in ops] == before
+
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.lists(plain_or_pair(mixed_polys(n)), min_size=1, max_size=5)))
+    @settings(max_examples=80)
+    def test_polynomial_sums_of_plain_addends_and_factor_pairs(self, addends):
+        # a pair (p, q) stands for p * q, multiply-accumulated into the running map
+        n = factors_of(addends)[0].n
+        before = [(dict(f._nums), f._den) for f in factors_of(addends)]
+        expected = fraction_sum(
+            term for a in addends
+            for term in (convolve_terms(*a).items() if isinstance(a, tuple) else a.items())
+        )
+        total = multipoly_module._sum(n, iter(addends))
+        assert dict(total.items()) == expected and total == MultiPoly(n, expected)
+        assert [(f._nums, f._den) for f in factors_of(addends)] == before  # no factor changes
+
+    @given(st.integers(1, 2).flatmap(
+        lambda n: st.lists(plain_or_pair(mixed_ops(n)), min_size=1, max_size=5)))
+    @settings(max_examples=60)
+    def test_operator_sums_of_plain_addends_and_bullet_pairs(self, addends):
+        # a pair (X, Y) stands for X . Y
+        n = factors_of(addends)[0].n
+        before = [(dict(f._sym._nums), f._sym._den) for f in factors_of(addends)]
+        expected = fraction_sum(
+            term for a in addends
+            for term in (op_product_terms(*a) if isinstance(a, tuple) else op_terms(a))
+        )
+        total = _sum(n, iter(addends))
+        assert dict(op_terms(total)) == expected and total == op_of_terms(n, expected)
+        assert [(f._sym._nums, f._sym._den) for f in factors_of(addends)] == before
+
+    def test_a_pair_takes_the_factor_of_the_running_denominator(self):
+        # over the running denominator 6, the pair x * x/2 (over 2) is scaled by 3, x * 3x
+        # (over 1) by 6, and x * x/4 grows the denominator to 12 and is scaled by 1
+        x = MultiPoly.variable(1, 0)
+        addends = [x * Fraction(1, 6), (x, x * Fraction(1, 2)), (x * 3, x), (x, x * Fraction(1, 4))]
+        total = multipoly_module._sum(1, addends)
+        assert total == MultiPoly(1, {(1,): Fraction(1, 6), (2,): Fraction(15, 4)})
+        assert total._den == 12
+
+    def test_a_zero_factor_adds_nothing(self):
+        x, zero = MultiPoly.variable(2, 0), MultiPoly.zero(2)
+        third = x * Fraction(1, 3)
+        assert multipoly_module._sum(2, [(zero, third)]) == zero
+        assert multipoly_module._sum(2, [(zero, third)])._den == 1
+        assert multipoly_module._sum(2, [(zero, x), third, (third, zero)]) == third
+        op = DiffOp.vector_field([x, third])
+        assert _sum(2, [(op, DiffOp.zero(2)), op, (DiffOp.zero(2), op)]) == op
 
     @given(st.integers(1, 2).flatmap(lambda n: st.tuples(st.integers(1, 6), vector_fields(n, 1))))
     @settings(max_examples=20)
@@ -485,6 +583,21 @@ class TestRenderingFromNumerators:
             "(4*x2^2 - x1)*d1^2 - 3/4*d2^2 - x1*x2*d1 + (-1/2*x1 + 1)")
         third = op * Fraction(1, 3)
         assert str(third) == op_str_reference(third)
+
+    def test_x_monomials_repeated_across_derivative_indices(self):
+        # each distinct x-monomial is rendered once per call and reused in every coefficient
+        x1, x2, one = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1), MultiPoly.const(2, 1)
+        shared = x1 * x1 * x2 - x1 * Fraction(2, 3) + one
+        op = DiffOp(2, {(0, 0): shared, (1, 0): shared * Fraction(-3, 4) + x2,
+                        (0, 1): x1 * x1 * x2, (2, 1): x2 * x1 * 5 - x1, (1, 1): x1 * Fraction(1, 6)})
+        assert str(op) == op_str_reference(op) == (
+            "(5*x1*x2 - x1)*d1^2*d2 + 1/6*x1*d1*d2 + (-3/4*x1^2*x2 + 1/2*x1 + x2 - 3/4)*d1"
+            " + x1^2*x2*d2 + (x1^2*x2 - 2/3*x1 + 1)")
+        scaled = op * Fraction(2, 7)
+        assert str(scaled) == op_str_reference(scaled) == (
+            "(10/7*x1*x2 - 2/7*x1)*d1^2*d2 + 1/21*x1*d1*d2"
+            " + (-3/14*x1^2*x2 + 1/7*x1 + 2/7*x2 - 3/14)*d1 + 2/7*x1^2*x2*d2"
+            " + (2/7*x1^2*x2 - 4/21*x1 + 2/7)")
 
 
 class TestInequality:

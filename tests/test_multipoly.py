@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from opseries import DiffOp, EgfSeries, MultiPoly
 from opseries.cli import main
+from opseries.multipoly import _sum
 
 COEFFS = st.sampled_from(
     [
@@ -209,6 +210,21 @@ class TestExponentBound:
         assert below.items() == [((2**31 - 1, 0), 1)]
         assert (half * MultiPoly(2, {(0, 2**31 - 1): 1})).items() == [((2**30, 2**31 - 1), 1)]
 
+    @pytest.mark.parametrize("addends", [
+        pytest.param(lambda half, y: [(half, half)], id="one-pair"),
+        pytest.param(lambda half, y: [y, (half, half), y], id="between-plain-addends"),
+        pytest.param(lambda half, y: [(half, half), (-half, half)], id="cancelled"),
+        pytest.param(lambda half, y: [(y, y), (half, half * 2), (half * -2, half)],
+                     id="cancelled-after-a-pair"),
+    ])
+    def test_a_summed_pair_reaching_the_bound_is_refused(self, addends):
+        # the guard bits are read before zeros are dropped, so a cancelled overflow counts
+        half, y = MultiPoly(2, {(2**30, 0): 1}), MultiPoly.variable(2, 1)
+        with pytest.raises(ValueError, match=r"2\*\*31, the bound"):
+            _sum(2, addends(half, y))
+        below = _sum(2, [(MultiPoly(2, {(2**30 - 1, 0): 1}), half), y])
+        assert below.items() == [((2**31 - 1, 0), 1), ((0, 1), 1)]
+
     @given(st.data(), st.integers(1, 3))
     @settings(max_examples=80)
     def test_partial_matches_tuple_oracle(self, data, n):
@@ -234,6 +250,17 @@ class TestExponentBound:
     def test_prop1_at_degree_20000_still_runs(self, capsys):
         assert main(["verify", "prop1", "--n", "1", "--degree", "20000", "--seed", "1"]) == 0
         assert capsys.readouterr().out.endswith("6/6 passed\n")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: MultiPoly(1, {5: 1}), id="constructor"),
+    pytest.param(lambda: MultiPoly(1).partial(5), id="partial"),
+    pytest.param(lambda: MultiPoly.variable(1, 0).coefficient(5), id="coefficient"),
+])
+def test_a_non_sequence_exponent_vector_is_refused_by_its_contract(call):
+    # tuple(5) would leak Python's "'int' object is not iterable", which names no contract
+    with pytest.raises(ValueError, match="5 for 1 variables: need a sequence of ints"):
+        call()
 
 
 class TestRingProperties:

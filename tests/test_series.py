@@ -92,6 +92,12 @@ class TestArithmetic:
         with pytest.raises(ValueError, match=contract):
             EgfSeries(coeffs)
 
+    @pytest.mark.parametrize("coeffs", [5, None, 1.5])
+    def test_a_non_iterable_is_refused_by_the_contract(self, coeffs):
+        # iterating it would leak Python's "'int' object is not iterable"
+        with pytest.raises(ValueError, match="coefficients must be a sequence of scalars, got"):
+            EgfSeries(coeffs)
+
     def test_x_squared(self):
         x = EgfSeries([0, 1, 0])
         assert x * x == EgfSeries([0, 0, 2])

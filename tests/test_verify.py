@@ -33,6 +33,7 @@ from opseries import (
     verify_product_identities,
     verify_stirling_power,
 )
+import opseries.combinat as combinat_module
 import opseries.series as series_module
 import opseries.verify as verify_module
 from opseries.cli import main
@@ -328,10 +329,12 @@ class TestSuites:
 
     @pytest.mark.parametrize("m, products", [(5, 40), (6, 121)])
     def test_partition_expansion_sums_by_the_subset_recursion(self, monkeypatch, m, products):
-        # (3^(m-1) - 1)/2 bullets (one bullet chain per set partition would take 99 and 471).
+        # (3^(m-1) - 1)/2 products (one bullet chain per set partition would take 99 and 471).
         # The summed subsets are 1..m and the non-empty subsets of 2..m; each of two or more
-        # labels streams its bullets into one private sum and adds block(S) to it with
-        # one +, 2^(m-1) - (m-1) in all (a running total took one + per bullet)
+        # labels streams its products into one private sum and adds block(S) to it with
+        # one +, 2^(m-1) - (m-1) in all (a running total took one + per product). Only the
+        # C(m-1, 2) two-label subsets form their one product as a bullet; every other
+        # product reaches the sum as a (block, sub-sum) pair and forms no operator
         calls = Counter()
         for name in ("bullet", "__add__"):
             original = getattr(DiffOp, name)
@@ -341,10 +344,20 @@ class TestSuites:
                 return original(x, y)
 
             monkeypatch.setattr(DiffOp, name, counted)
+
+        def counted_sum(n, addends, original=combinat_module._sum):
+            def counting():
+                for addend in addends:
+                    calls["pair"] += isinstance(addend, tuple)
+                    yield addend
+            return original(n, counting())
+
+        monkeypatch.setattr(combinat_module, "_sum", counted_sum)
         assert verify_partition_expansion(random_op_list(RandomSpec(seed=9), m)).passed
         sums = {5: 12, 6: 27}[m]
         assert products == (3 ** (m - 1) - 1) // 2 and sums == 2 ** (m - 1) - (m - 1)
-        assert calls == {"bullet": products, "__add__": sums}
+        assert calls == {"bullet": comb(m - 1, 2), "pair": products - comb(m - 1, 2),
+                         "__add__": sums}
 
     def test_partition_expansion_rejects_higher_order(self):
         bad = DiffOp(2, {(1, 1): MultiPoly.const(2, 1)})

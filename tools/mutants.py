@@ -114,8 +114,20 @@ MUTANTS = (
     Mutant(
         "the streamed sum merges into its first addend's map instead of a copy",
         "src/opseries/multipoly.py",
-        "nums, den = dict(p._nums), p._den",
-        "nums, den = p._nums, p._den",
+        "nums = dict(p._nums)",
+        "nums = p._nums",
+    ),
+    Mutant(
+        "the streamed sum accumulates a factor pair without the factor k of its denominator",
+        "src/opseries/multipoly.py",
+        "p._nums if k == 1 else _scaled(p._nums, k)",
+        "p._nums",
+    ),
+    Mutant(
+        "the streamed sum of factor pairs skips the guard-bit check on its product keys",
+        "src/opseries/multipoly.py",
+        "if paired:",
+        "if False:",
     ),
     Mutant(
         "the integer contract reads a bool as an int (True as 1)",
