@@ -153,6 +153,11 @@ class IntPartition:
 def _multiplicities(mults: Iterable[int]) -> tuple[int, ...]:
     # the block-size multiplicities l_1, l_2, ... of a partition, each a count
     contract = "each multiplicity must be a non-negative integer"
+    try:
+        mults = iter(mults)
+    except TypeError:
+        msg = f"multiplicities must be a sequence of counts l_1, l_2, ..., got {mults!r}"
+        raise ValueError(msg) from None
     return tuple(_check_int(l, 0, contract) for l in mults)
 
 

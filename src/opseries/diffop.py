@@ -82,6 +82,7 @@ from .multipoly import (
     _check_same_n,
     _graded_lex,
     _is_scalar,
+    _items,
     _join_signed,
     _monomial_str,
     _mul_into,
@@ -109,7 +110,7 @@ class DiffOp:
     def __init__(self, n: int, terms: Mapping[MultiIndex, MultiPoly | Scalar] | None = None):
         _check_int(n, 1, _VARIABLE_COUNT)
         pieces = []  # (packed xi^beta, u_beta) per coefficient: distinct betas, distinct keys
-        for beta, u in (terms or {}).items():
+        for beta, u in _items(terms, "derivative multi-indices"):
             xi = _pack(_check_exponents(beta, n, "derivative multi-index")) << (W * n)
             if not isinstance(u, MultiPoly):
                 u = MultiPoly.const(n, u)
@@ -347,8 +348,9 @@ def _sum(n: int, addends: Iterable[DiffOp | tuple[DiffOp, DiffOp]]) -> DiffOp:
 
 
 def _check_op_list(ops: Sequence[DiffOp]) -> int:
-    if not ops:
-        raise ValueError("operator list must be non-empty")
+    # callers index the list, so a set or generator is refused along with a non-iterable
+    if not isinstance(ops, Sequence) or not ops:
+        raise ValueError(f"operator list must be a non-empty sequence of operators, got {ops!r}")
     for k, op in enumerate(ops, start=1):
         _check_operand(op, DiffOp, "an operator list")
         if op.n != ops[0].n:

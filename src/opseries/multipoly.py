@@ -178,6 +178,18 @@ def _read_only(self: object, name: str, value: object = None) -> None:
 _VARIABLE_COUNT = "variable count must be positive"  # the contract on every n
 
 
+def _items(terms: Mapping | None, keys: str) -> Iterable[tuple]:
+    # the (key, coefficient) pairs of a constructor's terms mapping, none for None; any
+    # other value would leak an AttributeError on .items that names no contract
+    if terms is None:
+        return ()
+    try:
+        return terms.items()
+    except AttributeError:
+        msg = f"terms must be a mapping from {keys} to coefficients, got {terms!r}"
+        raise ValueError(msg) from None
+
+
 def _is_scalar(c: object) -> bool:
     # whether c is the factor of a scalar product (an int or Fraction); a bool
     # is refused with the coefficient contract's error, not read as 0 or 1
@@ -230,7 +242,7 @@ class MultiPoly:
     def __init__(self, n: int, terms: Mapping[MultiIndex, Scalar | str] | None = None):
         _check_int(n, 1, _VARIABLE_COUNT)
         coeffs: dict[int, Fraction] = {}
-        for alpha, c in (terms or {}).items():
+        for alpha, c in _items(terms, "exponent vectors"):
             key = _pack(_check_exponents(alpha, n, "exponent vector"))
             c = _scalar(c)
             if c:

@@ -8,11 +8,20 @@ and nothing is ever silently zero-padded.
 
 Products use the binomial convolution ``(fg)_m = sum_k C(m,k) f_k g_{m-k}``.
 ``exp`` is the triangular recurrence of the defining ODE ``g' = f'g``; one
-triangular solve of ``den * q = num`` serves ``reciprocal`` (numerator one)
-and ``ln`` (``q = f'/f``, then a shift).
+triangular solve of ``den * q = num`` serves ``reciprocal`` (a constant
+numerator) and ``ln`` (``q = f'/f``, then a shift).  All three run over
+Python ints: with the coefficients ``A_k/d`` over one common denominator,
+x is scaled by ``c = A_0`` (by ``d`` for ``exp``, where ``A_0 = 0``), the
+scaled coefficients ``A_k c^(k-1)`` are integers with ``den_0 = 1``, so no
+step divides, and output coefficient ``m`` comes back as one reduced
+``Fraction`` over a power of ``c``.  ``verify`` runs the same two
+recurrences over the bullet ring of operators.  Products and the operator
+iterates still run on ``Fraction`` coefficients.  Every series the package
+computes is built by the private ``EgfSeries._of``, which skips the public
+constructor's per-coefficient checks.
 
-The three cross-checks of the log form run over Python ints, each with its
-inputs over one common denominator, and form one reduced ``Fraction`` per
+The three cross-checks of the log form also run over Python ints, each with
+its inputs over one common denominator, and form one reduced ``Fraction`` per
 output coefficient.  Composition ``f(g)`` and the Newton solve share one
 table of the partial Bell polynomials ``B_{n,k}(b) = [g^k/k!]_n``, which
 have integer coefficients (Comtet, *Advanced Combinatorics*, 3.3).  It is
@@ -58,6 +67,7 @@ T = TypeVar("T")
 # the contracts on a series order and on an inverse order, for multipoly._check_int
 _SERIES_ORDER = "series order must be an integer >= 0"
 _INVERSE_ORDER = "inverse order must be >= 1"
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _exp_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], one: T) -> list[T]:
@@ -90,6 +100,20 @@ def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     # the coefficients as integer numerators over their one least common denominator
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _over_ints(
+    coeffs: Sequence[Fraction], solve: Callable[[list[int], int], list[int]], shift: int = 0
+) -> EgfSeries:
+    # the series whose coefficient m is solve(S, d)[m] / c^(m + shift), run over integers:
+    # with the coefficients A_k/d over one denominator and x scaled by c = A_0 (by d when
+    # A_0 = 0), S_k = A_k c^(k-1) are integers and S_0 is 1 (or 0), so a solve over S
+    # divides by nothing; newton_inverse scales its unknowns the same way
+    a, d = _over_lcm(coeffs)
+    c = a[0] or d
+    powers = list(accumulate(repeat(c, len(a)), operator.mul, initial=1))  # c^0 .. c^(N+1)
+    scaled = [a[0] // c, *map(operator.mul, a[1:], powers)]
+    return EgfSeries._of(map(Fraction, solve(scaled, d), powers[shift:]))
 
 
 def _exact(num: int, den: int) -> int:
@@ -139,23 +163,31 @@ class EgfSeries:
         self._coeffs = coeffs
 
     @classmethod
+    def _of(cls, coeffs: Iterable[Fraction]) -> EgfSeries:
+        # a computed result, every coefficient a Fraction already and at least one of them:
+        # the public constructor's checks are skipped
+        out = object.__new__(cls)
+        out._coeffs = tuple(coeffs)
+        return out
+
+    @classmethod
     def zero(cls, order: int) -> EgfSeries:
-        return cls([0] * (_check_int(order, 0, _SERIES_ORDER) + 1))
+        return cls._of([_ZERO] * (_check_int(order, 0, _SERIES_ORDER) + 1))
 
     @classmethod
     def one(cls, order: int) -> EgfSeries:
-        return cls([1] + [0] * _check_int(order, 0, _SERIES_ORDER))
+        return cls._of([_ONE] + [_ZERO] * _check_int(order, 0, _SERIES_ORDER))
 
     @classmethod
     def identity(cls, order: int) -> EgfSeries:
         """The series x, the unit for composition."""
         _check_int(order, 1, "the identity series needs order >= 1")
-        return cls([0, 1] + [0] * (order - 1))
+        return cls._of([_ZERO, _ONE] + [_ZERO] * (order - 1))
 
     @classmethod
     def exp_x(cls, order: int) -> EgfSeries:
         """e^x truncated at the given order (all coefficients 1)."""
-        return cls([1] * (_check_int(order, 0, _SERIES_ORDER) + 1))
+        return cls._of([_ONE] * (_check_int(order, 0, _SERIES_ORDER) + 1))
 
     @property
     def order(self) -> int:
@@ -175,7 +207,7 @@ class EgfSeries:
 
     def truncate(self, order: int) -> EgfSeries:
         _check_int(order, 0, f"truncation order must lie in 0..{self.order}", self.order)
-        return EgfSeries(self._coeffs[: order + 1])
+        return EgfSeries._of(self._coeffs[: order + 1])
 
     def agrees_with(self, other: EgfSeries, order: int | None = None) -> bool:
         """Coefficientwise equality up to ``order`` (default: the smaller order)."""
@@ -188,7 +220,7 @@ class EgfSeries:
         if not isinstance(other, EgfSeries):
             return NotImplemented
         upto = min(self.order, other.order)
-        return EgfSeries(a + b for a, b in zip(self._coeffs, other._coeffs[: upto + 1]))
+        return EgfSeries._of(a + b for a, b in zip(self._coeffs, other._coeffs[: upto + 1]))
 
     def __sub__(self, other: EgfSeries) -> EgfSeries:
         if not isinstance(other, EgfSeries):
@@ -196,16 +228,16 @@ class EgfSeries:
         return self + (-other)
 
     def __neg__(self) -> EgfSeries:
-        return EgfSeries(-c for c in self._coeffs)
+        return EgfSeries._of(-c for c in self._coeffs)
 
     def __mul__(self, other: EgfSeries | Scalar) -> EgfSeries:
         if _is_scalar(other):
-            return EgfSeries(c * other for c in self._coeffs)
+            return EgfSeries._of(c * other for c in self._coeffs)
         if not isinstance(other, EgfSeries):
             return NotImplemented
         upto = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        return EgfSeries(
+        return EgfSeries._of(
             sum(math.comb(m, k) * a[k] * b[m - k] for k in range(m + 1))
             for m in range(upto + 1)
         )
@@ -219,15 +251,18 @@ class EgfSeries:
         """Shift coefficients down one slot; costs one order of validity."""
         if self.order < 1:
             raise ValueError("cannot differentiate a series of order 0")
-        return EgfSeries(self._coeffs[1:])
+        return EgfSeries._of(self._coeffs[1:])
 
     def reciprocal(self) -> EgfSeries:
-        """Multiplicative inverse: solve ``(f/a_0) q = 1/a_0`` by :func:`_quotient`."""
+        """Multiplicative inverse, over integers by one :func:`_quotient`.
+
+        With the coefficients ``A_k/d`` over one denominator, it solves
+        ``[1, A_k A_0^(k-1)] Q = [d, 0, ...]``, and ``b_m = Q_m / A_0^(m+1)``.
+        """
         if self._coeffs[0] == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = 1 / self._coeffs[0]
-        scaled = [c * inv0 for c in self._coeffs]
-        return EgfSeries(_quotient([inv0] + [0] * self.order, scaled, operator.mul))
+        zeros = [0] * self.order
+        return _over_ints(self._coeffs, lambda s, d: _quotient([d, *zeros], s, operator.mul), 1)
 
     def compose(self, inner: EgfSeries) -> EgfSeries:
         """Substitute ``inner`` (which must vanish at 0) into this series.
@@ -254,20 +289,28 @@ class EgfSeries:
             # row k of the table sits over d^k: scale it to the column's d^n
             num = sum(a[k] * col[k] * dpow[n - k] for k in range(1, n + 1))
             out.append(Fraction(num, e * dpow[n]))
-        return EgfSeries(out)
+        return EgfSeries._of(out)
 
     def exp(self) -> EgfSeries:
-        """Exponential; requires zero constant term."""
+        """Exponential, over integers by :func:`_exp_recurrence`; requires zero constant term.
+
+        With the coefficients ``A_k/e`` over one denominator, ``G = exp(sum_k A_k
+        e^(k-1) x^k/k!)`` has integer coefficients, and ``g_m = G_m / e^m``.
+        """
         if self._coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        return EgfSeries(_exp_recurrence(self._coeffs, operator.mul, Fraction(1)))
+        return _over_ints(self._coeffs, lambda s, _: _exp_recurrence(s, operator.mul, 1))
 
     def ln(self) -> EgfSeries:
-        """Logarithm, ``ln f = integral of f'/f``; requires constant term one."""
+        """Logarithm ``ln f = integral of f'/f``, over integers by one :func:`_quotient`.
+
+        Requires constant term one.  With the coefficients ``A_k/d`` over one
+        denominator (so ``A_0 = d``), it solves ``[1, A_k d^(k-1)] Q =
+        [A_(m+1) d^m]``, and ``q_m = Q_m / d^(m+1)`` is coefficient ``m + 1``.
+        """
         if self._coeffs[0] != 1:
             raise ValueError("ln needs constant term one")
-        c = self._coeffs
-        return EgfSeries([0] + _quotient(c[1:], c, operator.mul))
+        return _over_ints(self._coeffs, lambda s, _: [0, *_quotient(s[1:], s, operator.mul)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EgfSeries):
@@ -330,10 +373,10 @@ def classical_inverse(f: EgfSeries, order: int) -> EgfSeries:
     """
     _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order + 1)
-    shifted = EgfSeries(f.coeffs[m + 1] / (m + 1) for m in range(order))
+    shifted = EgfSeries._of(f.coeffs[m + 1] / (m + 1) for m in range(order))
     w, d = _over_lcm(shifted.reciprocal().coeffs)  # x/f, valid to order - 1
     binom = [[math.comb(k, j) for j in range(k + 2)] for k in range(order - 1)]  # C(k, k+1) = 0
-    out = [Fraction(0)]
+    out = [_ZERO]
     d_n = d
     for n in range(1, order + 1):
         p = [w[0] ** n]  # P_0, then P_1 .. P_(n-1)
@@ -343,7 +386,7 @@ def classical_inverse(f: EgfSeries, order: int) -> EgfSeries:
             p.append(_exact(total, w[0]))
         out.append(Fraction(p[-1], d_n))
         d_n *= d
-    return EgfSeries(out)
+    return EgfSeries._of(out)
 
 
 def operator_iterate(f: EgfSeries, start: EgfSeries, count: int) -> EgfSeries:
@@ -367,7 +410,7 @@ def operator_inverse(f: EgfSeries, order: int) -> EgfSeries:
     """
     _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order + 1)
-    return EgfSeries([Fraction(0)] + [s[0] for s in islice(_iterates(f), order)])
+    return EgfSeries._of([_ZERO] + [s[0] for s in islice(_iterates(f), order)])
 
 
 def log_form_terms(f: EgfSeries, order: int) -> EgfSeries:
@@ -378,7 +421,7 @@ def log_form_terms(f: EgfSeries, order: int) -> EgfSeries:
     Needs ``f`` valid to ``order + 1``.
     """
     _as_invertible(f, _check_int(order, 0, _SERIES_ORDER) + 1)
-    return EgfSeries(s[0] for s in islice(_iterates(f, EgfSeries.exp_x(order)), order + 1))
+    return EgfSeries._of(s[0] for s in islice(_iterates(f, EgfSeries.exp_x(order)), order + 1))
 
 
 def log_form_inverse(f: EgfSeries, order: int) -> EgfSeries:
@@ -408,14 +451,14 @@ def newton_inverse(f: EgfSeries, order: int) -> EgfSeries:
     a, e = _over_lcm(f.coeffs[: order + 1])
     c = a[1] * a[1]
     scaled = [0] * (order + 1)  # B~_n, written after column n is yielded
-    out = [Fraction(0)]
+    out = [_ZERO]
     c_n = c
     for n, col in enumerate(_bell_columns(scaled, order), start=1):
         total = sum(map(operator.mul, a[2 : n + 1], col[2:]))
         scaled[n] = _exact((e * c if n == 1 else 0) - total, a[1])  # column n + 1 reads it
         out.append(Fraction(scaled[n], c_n))
         c_n *= c
-    return EgfSeries(out)
+    return EgfSeries._of(out)
 
 
 INVERSE_METHODS = {

@@ -345,6 +345,16 @@ class TestIntegerPartitions:
         with pytest.raises(ValueError, match="integer partitions capped at m <= 40, got 41"):
             integer_partitions(41)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: IntPartition(2, 5), id="IntPartition"),
+        pytest.param(lambda: partition_class_count(5), id="partition_class_count"),
+    ])
+    def test_a_non_sequence_of_multiplicities_is_refused_by_its_contract(self, call):
+        # iterating 5 would leak Python's "'int' object is not iterable"
+        with pytest.raises(ValueError, match=re.escape(
+                "multiplicities must be a sequence of counts l_1, l_2, ..., got 5")):
+            call()
+
     def test_inconsistent_multiplicities_rejected(self):
         with pytest.raises(ValueError):
             IntPartition(3, (1, 1, 1))

@@ -172,6 +172,21 @@ class TestProducts:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: partition_operator(5, [[1]]),
+                     "operator list must be a non-empty sequence of operators, got 5",
+                     id="partition_operator"),
+        pytest.param(lambda: diamond_chain(5, [1]),
+                     "operator list must be a non-empty sequence of operators, got 5",
+                     id="diamond_chain"),
+        pytest.param(lambda: DiffOp(1, 5), "terms must be a mapping from derivative "
+                     "multi-indices to coefficients, got 5", id="constructor"),
+    ])
+    def test_a_non_sequence_operator_list_or_non_mapping_terms_is_refused(self, call, message):
+        # enumerate(5) and (5).items() would leak Python's own TypeError and AttributeError
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_apply_scales_monomial(self):
         p = MultiPoly(1, {(2,): 1})
         assert xd().apply(p) == 2 * p

@@ -263,6 +263,13 @@ def test_a_non_sequence_exponent_vector_is_refused_by_its_contract(call):
         call()
 
 
+def test_a_non_mapping_terms_argument_is_refused_by_its_contract():
+    # (5).items() would leak Python's "'int' object has no attribute 'items'"
+    with pytest.raises(ValueError, match="terms must be a mapping from exponent vectors to "
+                       "coefficients, got 5"):
+        MultiPoly(1, 5)
+
+
 class TestRingProperties:
     @given(polys(), polys(), polys())
     @settings(max_examples=50)

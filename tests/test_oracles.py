@@ -1,8 +1,10 @@
 """Reversion and operator action checked against sympy, outside the package.
 
 ``rs_series_reversion`` is the oracle for the four inverse methods,
-``rs_series_from_list`` the oracle for :meth:`EgfSeries.compose` and
-``sympy.diff`` the oracle for :meth:`DiffOp.apply`.  The module is skipped
+``rs_series_from_list`` the oracle for :meth:`EgfSeries.compose`,
+``rs_series_inversion``, ``rs_log`` and ``rs_exp`` the oracles for
+:meth:`EgfSeries.reciprocal`, ``ln`` and ``exp``, and ``sympy.diff`` the
+oracle for :meth:`DiffOp.apply`.  The module is skipped
 when sympy is not installed; it is declared in the ``test`` extra.
 """
 
@@ -16,7 +18,13 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from sympy.polys.domains import QQ  # noqa: E402
-from sympy.polys.ring_series import rs_series_from_list, rs_series_reversion  # noqa: E402
+from sympy.polys.ring_series import (  # noqa: E402
+    rs_exp,
+    rs_log,
+    rs_series_from_list,
+    rs_series_inversion,
+    rs_series_reversion,
+)
 from sympy.polys.rings import ring  # noqa: E402
 
 from opseries import (  # noqa: E402
@@ -107,19 +115,29 @@ def test_apply_matches_sympy_diff(seed, n):
     assert sympy.expand(to_sympy(op.apply(p), xs) - expected) == 0
 
 
+R1, X1 = ring("x", QQ)
+
+
+def ordinary(f):
+    """The series f as an element of sympy's QQ[x], with ordinary coefficients."""
+    return sum((QQ(c.numerator, c.denominator * math.factorial(m)) * X1**m
+                for m, c in enumerate(f.coeffs)), R1.zero)
+
+
+def egf_from_ring(h, order):
+    """The egf coefficients 0..order of an element of QQ[x]."""
+    coeffs = []
+    for m in range(order + 1):
+        q = h.coeff(X1**m)
+        coeffs.append(Fraction(q.numerator, q.denominator) * math.factorial(m))
+    return EgfSeries(coeffs)
+
+
 def sympy_compose(outer, inner):
     """The egf coefficients of outer(inner), by sympy's ``sum c_k p^k`` over QQ."""
     upto = min(outer.order, inner.order)
-    R, x = ring("x", QQ)
-    p = sum((QQ(c.numerator, c.denominator * math.factorial(m)) * x**m
-             for m, c in enumerate(inner.coeffs)), R.zero)
     c = [QQ(a.numerator, a.denominator * math.factorial(k)) for k, a in enumerate(outer.coeffs)]
-    h = rs_series_from_list(p, c, x, upto + 1)
-    coeffs = []
-    for m in range(upto + 1):
-        q = h.coeff(x**m)
-        coeffs.append(Fraction(q.numerator, q.denominator) * math.factorial(m))
-    return EgfSeries(coeffs)
+    return egf_from_ring(rs_series_from_list(ordinary(inner), c, X1, upto + 1), upto)
 
 
 POOL = [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]
@@ -160,3 +178,17 @@ def test_newton_reversion_matches_sympy_at_order_24(seed):
     order = 24
     f = random_invertible_series(RandomSpec(seed=seed), order)
     assert newton_inverse(f, order) == sympy_inverse(f, order)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reciprocal_ln_exp_with_a_rational_lead_match_sympy_at_order_24(seed):
+    # a lead other than +-1 over 7 and coefficients over 9 and 4, so no power of the
+    # lead or of the common denominator cancels by accident
+    order = 24
+    tail = mixed_series(seed, order).coeffs[1:]
+    unit, nonunit = EgfSeries([1, *tail]), EgfSeries([Fraction(-3, 7), *tail])
+    exponent = mixed_series(seed, order)
+    assert nonunit.reciprocal() == egf_from_ring(
+        rs_series_inversion(ordinary(nonunit), X1, order + 1), order)
+    assert unit.ln() == egf_from_ring(rs_log(ordinary(unit), X1, order + 1), order)
+    assert exponent.exp() == egf_from_ring(rs_exp(ordinary(exponent), X1, order + 1), order)

@@ -251,6 +251,103 @@ class TestComposeExpLn:
         assert src.ln() == expected
 
 
+# the solves as they ran on Fractions before they ran on integers, written out here so
+# that no fault in series._quotient or series._exp_recurrence is shared
+def fraction_quotient(num, den):
+    out = []
+    for m, term in enumerate(num):
+        for k in range(1, m + 1):
+            term = term - math.comb(m, k) * den[k] * out[m - k]
+        out.append(term)
+    return out
+
+
+def fraction_reciprocal(c):
+    inv0 = 1 / c[0]
+    return fraction_quotient([inv0] + [0] * (len(c) - 1), [a * inv0 for a in c])
+
+
+def fraction_ln(c):
+    return [Fraction(0)] + fraction_quotient(c[1:], c)
+
+
+def fraction_exp(c):
+    out = [Fraction(1)]
+    for m in range(len(c) - 1):
+        out.append(c[m + 1] + sum(math.comb(m, k) * c[k + 1] * out[m - k] for k in range(m)))
+    return out
+
+
+LEADS = st.sampled_from([Fraction(v) for v in (1, -1, 2, -2, "1/2", "-3/7")])
+# zero often, so that tails carry interior zeros, and denominators 2, 3 and 7
+TAILS = st.lists(
+    st.sampled_from([Fraction(v) for v in (0, 0, 0, 1, -1, 2, "1/2", "-2/3", "5/7")]),
+    max_size=20,
+)
+
+
+class TestSolvesOverIntegers:
+    """reciprocal, ln and exp run over integers and equal the Fraction solves."""
+
+    @given(LEADS, TAILS)
+    @settings(max_examples=80, deadline=None)
+    def test_reciprocal_equals_the_fraction_solve(self, lead, tail):
+        c = [lead] + tail  # orders 0..20
+        assert EgfSeries(c).reciprocal() == EgfSeries(fraction_reciprocal(c))
+
+    @given(LEADS, TAILS)
+    @settings(max_examples=80, deadline=None)
+    def test_ln_equals_the_fraction_solve(self, lead, tail):
+        c = [Fraction(1), lead] + tail[:19]  # the lead is a_1, as ln needs a_0 = 1
+        assert EgfSeries(c).ln() == EgfSeries(fraction_ln(c))
+
+    @given(LEADS, TAILS)
+    @settings(max_examples=80, deadline=None)
+    def test_exp_equals_the_fraction_recurrence(self, lead, tail):
+        c = [Fraction(0), lead] + tail[:19]  # the lead is a_1, as exp needs a_0 = 0
+        assert EgfSeries(c).exp() == EgfSeries(fraction_exp(c))
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_the_shortest_series(self, order):
+        c = [Fraction(-3, 7), Fraction(1, 2)][: order + 1]
+        assert EgfSeries(c).reciprocal() == EgfSeries(fraction_reciprocal(c))
+        assert EgfSeries([1, 2][: order + 1]).ln() == EgfSeries([0, 2][: order + 1])
+        assert EgfSeries([0, 2][: order + 1]).exp() == EgfSeries([1, 2][: order + 1])
+
+    def test_the_solves_receive_only_ints(self, monkeypatch):
+        received = []
+
+        def spy(name):
+            original = getattr(series, name)
+
+            def recorded(*args):
+                received.append((name, args))
+                return original(*args)
+
+            monkeypatch.setattr(series, name, recorded)
+
+        spy("_quotient")
+        spy("_exp_recurrence")
+        EgfSeries([Fraction(-3, 7), Fraction(1, 2), 0, 5, Fraction(2, 9)]).reciprocal()
+        EgfSeries([1, Fraction(-3, 7), 0, Fraction(1, 2), 3]).ln()
+        EgfSeries([0, Fraction(-3, 7), Fraction(1, 2), 0, Fraction(5, 6)]).exp()
+        assert [name for name, _ in received] == ["_quotient", "_quotient", "_exp_recurrence"]
+        for name, (first, second, third) in received:
+            # (num, den, mul) for the quotient, (coeffs, mul, one) for the recurrence
+            ints = [*first, *second] if name == "_quotient" else [*first, third]
+            assert all(type(v) is int for v in ints), (name, ints)
+
+    def test_log_form_inverse_checks_no_coefficient_again(self, monkeypatch):
+        # every series it computes is built unchecked: only the public constructor, which
+        # took f, runs the coefficient contract
+        f = x_exp_minus_x(21)
+        calls = []
+        original = series._scalar
+        monkeypatch.setattr(series, "_scalar", lambda c: calls.append(c) or original(c))
+        assert list(log_form_inverse(f, 20).coeffs[1:4]) == [1, 2, 9]
+        assert calls == []
+
+
 # every public function that takes an invertible series, called as (f, order)
 TAKES_INVERTIBLE = {
     **INVERSE_METHODS,

@@ -215,6 +215,25 @@ MUTANTS = (
         "a[k] * col[k] * dpow[n - k]",
         "a[k] * col[k]",
     ),
+    Mutant(
+        "reciprocal divides Q_m by one power of the lead too many, A_0^(m+2)",
+        "src/opseries/series.py",
+        "_quotient([d, *zeros], s, operator.mul), 1)",
+        "_quotient([d, *zeros], s, operator.mul), 2)",
+    ),
+    Mutant(
+        "the integer solves scale x without c^(k-1): ln loses its d^(k-1), reciprocal "
+        "its A_0^(k-1), exp its e^(k-1)",
+        "src/opseries/series.py",
+        "scaled = [a[0] // c, *map(operator.mul, a[1:], powers)]",
+        "scaled = [a[0] // c, *a[1:]]",
+    ),
+    Mutant(
+        "exp scales x by 1 instead of by its common denominator e",
+        "src/opseries/series.py",
+        "c = a[0] or d",
+        "c = a[0] or 1",
+    ),
 )
 
 # same output as the source, so only a call-structure or cost test could see them
