@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .combinat import bell_polynomial, set_partitions
 from .series import (
@@ -34,8 +35,25 @@ def _load_series(args) -> EgfSeries:
     return EgfSeries(coeffs)
 
 
+def _json(value, indent: str = "\n") -> str:
+    # json.dumps(value, indent=2, sort_keys=True), byte for byte: json's encoder for an
+    # indent is a set of mutually recursive closures, which every call leaves behind as
+    # reference cycles; this recursion leaves none. Keys are strings, and a number, bool,
+    # None or empty container is json.dumps's own one-line form
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        fields = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                  for k, v in sorted(value.items())]
+        return "{" + ",".join(fields) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + ",".join([inner + _json(v, inner) for v in value]) + indent + "]"
+    return json.dumps(value)
+
+
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json(payload))
 
 
 def _cmd_invert(args) -> int:

@@ -20,16 +20,29 @@ where ``(1/g!) d_xi^g X = sum_{a >= g} (a choose g) u_a xi^(a-g)``:
   symbols: ``u d^a . v d^b = u v d^(a+b)`` (commutative).
 
 ``diamond`` and ``circ`` share one kernel, told which ``g <= a`` to take
-for each derivative index ``a`` of X (all of them, or ``g = a``).  It
-groups X's terms once by ``a``, runs ``g`` only over the indices those
-groups reach (for ``diamond``, no further than Y's largest exponent of
-each ``x``), forms each ``d_x^g Y`` once through ``MultiPoly.partial``
-and skips a ``g`` where it is zero.  ``xi^(-g)`` is folded into that
-derivative's keys, so every group multiplies as stored, and all products
-accumulate into one numerator map: no per-term key tuples and no
-temporary polynomial per pair of terms.  A product whose derivative order
-reaches ``2**31`` sets a guard bit of the symbol and is refused with
-``MultiPoly``'s ``ValueError``, as an exponent would be.
+for each derivative index ``a`` of X (all of them, or ``g = a``); for
+``diamond`` ``g`` goes no further than Y's largest exponent of each ``x``.
+Each operator keeps two private caches: its groups (its terms split by
+derivative index, keyed by the index tuple), made on the first read by
+``items()``, ``coefficient()``, ``orders()``, ``apply`` or ``str()``, and
+its Leibniz columns, one per ``g``, made when a product first needs them:
+``d_x^g`` of its symbol over its own denominator, formed by one
+``MultiPoly.partial``, with ``xi^(-g)`` folded into the keys so that a
+group multiplies as stored.  A block that is the right operand of several
+circs is differentiated once for all of them, and each ``L_i``, split
+when the operator list is checked, is split once.  A product reads its
+left operand's kept groups but keeps none it had to make: the left
+operand of a diamond chain or power is a fresh result used once, and its
+groups would stay alive through the product's reduction, where memory
+peaks.  For each group ``a`` of X the kernel merges Y's columns
+into one, ``sum_g (a choose g) col_g``, skipping a ``g`` where the column
+is zero, and makes one multiply into one numerator map: no per-term key
+tuples and no temporary polynomial per pair of terms.  For ``circ`` that
+column is the kept one itself, with no copy and no weight.  The caches
+take no part in ``==``, ``hash``, ``str`` or ``items()``, a result starts
+with both empty, and the symbol is never changed.  A product whose
+derivative order reaches ``2**31`` sets a guard bit of the symbol and is
+refused with ``MultiPoly``'s ``ValueError``, as an exponent would be.
 
 For first-order ``X`` the sum has only the terms ``|g| <= 1``, which is
 the split ``X <> Y = X o Y + X . Y``, and ``X o (Y o Z) = (X <> Y) o Z``.
@@ -51,12 +64,12 @@ Distinct indices give distinct keys, so the pieces fill one numerator map
 over the lcm of their denominators with nothing to merge.  Each operation
 checks its operands' variable counts.  Results wrap their symbol through
 the private ``DiffOp._of_symbol`` and check nothing again.
-One private method, ``_groups()``, splits the symbol's terms by derivative
-index; ``items()``, ``coefficient()`` and ``orders()`` read it through that
-split, one reduced coefficient polynomial at a time.  ``str()`` reads the
-same split but builds no coefficient polynomial and no ``Fraction``: each
-term is its numerator over the symbol's denominator, put in lowest terms
-by one gcd, and each distinct x-monomial is rendered once per call.  The
+``items()``, ``coefficient()`` and ``orders()`` read the kept groups, one
+reduced coefficient polynomial at a time.  ``str()`` reads the same groups
+but builds no coefficient polynomial and no ``Fraction``: each term is its
+numerator over the symbol's denominator, put in lowest terms by one gcd.
+Each distinct x-monomial is ranked by one graded-lex sort and rendered
+once per call, and each coefficient's terms sort by that int rank.  The
 products work on ``MultiPoly``'s packed storage (``_nums``, ``_den``,
 ``_reduced``, ``_mul_into``) and every sum is ``multipoly._sum`` of
 symbols; an addend may be a pair ``(X, Y)`` for ``X . Y``, whose symbols'
@@ -105,7 +118,7 @@ class DiffOp:
     zero symbol.
     """
 
-    __slots__ = ("_n", "_sym")
+    __slots__ = ("_n", "_sym", "_split", "_columns")  # the last two: caches (module docstring)
 
     def __init__(self, n: int, terms: Mapping[MultiIndex, MultiPoly | Scalar] | None = None):
         _check_int(n, 1, _VARIABLE_COUNT)
@@ -120,6 +133,7 @@ class DiffOp:
         nums = {a + xi: c * (den // u._den) for xi, u in pieces for a, c in u._nums.items()}
         self._n = n
         self._sym = MultiPoly._reduced(2 * n, nums, den)
+        self._split = self._columns = None
 
     @classmethod
     def _of_symbol(cls, n: int, sym: MultiPoly) -> DiffOp:
@@ -127,15 +141,40 @@ class DiffOp:
         out = object.__new__(cls)
         out._n = n
         out._sym = sym
+        out._split = out._columns = None
         return out
 
-    def _groups(self) -> dict[int, dict[int, int]]:
-        # the symbol's terms by packed derivative index: they share its keys and numerators
-        shift = W * self._n
+    def _groups(self) -> dict[MultiIndex, dict[int, int]]:
+        # the split of the symbol's terms, made on first read and kept: callers read the
+        # maps and never change them
+        split = self._split
+        if split is None:
+            split = self._split = self._split_terms()
+        return split
+
+    def _split_terms(self) -> dict[MultiIndex, dict[int, int]]:
+        # the symbol's terms {key: numerator} by derivative index
+        n = self._n
+        shift = W * n
         groups: dict[int, dict[int, int]] = {}
         for key, c in self._sym._nums.items():
             groups.setdefault(key >> shift, {})[key] = c
-        return groups
+        return {_unpack(a, n): terms for a, terms in groups.items()}
+
+    def _column(self, gamma: MultiIndex) -> dict[int, int]:
+        # d_x^g of the symbol over its own denominator, each key lowered by xi^g, formed by
+        # one partial on first use and kept: a left group's key plus a column key is the
+        # packed key of x^(x1+x2) xi^((a-g)+b), a sum of two valid keys, so the guard check
+        # still sees every overflow
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = {}
+        if gamma not in columns:
+            n, den = self._n, self._sym._den
+            right = self._sym.partial(gamma + (0,) * n)
+            k, xi = den // right._den, _pack(gamma) << (W * n)
+            columns[gamma] = {key - xi: c * k for key, c in right._nums.items()}
+        return columns[gamma]
 
     def _coefficient(self, terms: Iterable[tuple[int, int]]) -> MultiPoly:
         # the reduced coefficient polynomial of one group's (key, numerator) pairs
@@ -145,9 +184,8 @@ class DiffOp:
 
     def _terms(self) -> Iterator[tuple[MultiIndex, MultiPoly]]:
         # the terms in items() order, one coefficient polynomial built at a time
-        groups = self._groups()
-        for beta, a in _graded_lex((_unpack(a, self._n), a) for a in groups):
-            yield beta, self._coefficient(groups[a].items())
+        for beta, terms in _graded_lex(self._groups().items()):
+            yield beta, self._coefficient(terms.items())
 
     @classmethod
     def zero(cls, n: int) -> DiffOp:
@@ -182,14 +220,14 @@ class DiffOp:
 
     def coefficient(self, beta: MultiIndex) -> MultiPoly:
         beta = _check_exponents(beta, self._n, "derivative multi-index")
-        return self._coefficient(self._groups().get(_pack(beta), {}).items())
+        return self._coefficient(self._groups().get(beta, {}).items())
 
     def is_zero(self) -> bool:
         return self._sym.is_zero()
 
     def orders(self) -> frozenset[int]:
         """Derivative orders |beta| present; empty for the zero operator."""
-        return frozenset(sum(_unpack(a, self._n)) for a in self._groups())
+        return frozenset(map(sum, self._groups()))
 
     def is_first_order(self) -> bool:
         """True when every stored term has |beta| = 1 (vacuously so for zero)."""
@@ -219,30 +257,28 @@ class DiffOp:
     def _product(
         self, other: DiffOp, gammas: Callable[[MultiIndex], Iterable[MultiIndex]]
     ) -> DiffOp:
-        # sum over the groups u_a xi^a of self and g in gammas(a) of
-        # (a choose g) u_a xi^(a-g) * d_x^g(other), into one numerator map over the
-        # product of the two denominators
+        # each group u_a xi^a of self times its one column, the sum over g in gammas(a) of
+        # (a choose g) xi^(-g) d_x^g(other), into one numerator map over the product of the
+        # two denominators
         _check_same_n(self._n, other._n)
-        n, den = self._n, other._sym._den
-        zeros = (0,) * n
-        derivatives: dict[MultiIndex, dict[int, int]] = {}
+        # the kept split if a read made one, else one made for this loop alone (see the
+        # module docstring)
+        split = self._split
         out: dict[int, int] = {}
-        for a, terms in self._groups().items():
-            alpha = _unpack(a, n)
-            for gamma in gammas(alpha):
-                if gamma not in derivatives:
-                    # d_x^g(other) over other's denominator, each key lowered by xi^g: a
-                    # group's key plus it is the packed key of x^(x1+x2) xi^((a-g)+b),
-                    # a sum of two valid keys, so the guard check still sees every overflow
-                    right = other._sym.partial(gamma + zeros)
-                    k, xi = den // right._den, _pack(gamma) << (W * n)
-                    derivatives[gamma] = {key - xi: c * k for key, c in right._nums.items()}
-                cols = derivatives[gamma]
-                if cols:
+        for alpha, terms in (self._split_terms() if split is None else split).items():
+            cols = [(gamma, col) for gamma in gammas(alpha) if (col := other._column(gamma))]
+            if len(cols) == 1 and cols[0][0] == alpha:
+                col = cols[0][1]  # circ's column, weight 1, used as kept
+            else:  # a fresh map: the kept columns never change
+                col = {}
+                for gamma, column in cols:
                     w = index_binomial(alpha, gamma)
-                    out = _mul_into(out, terms, cols if w == 1 else
-                                    {key: c * w for key, c in cols.items()})
-        return DiffOp._of_symbol(n, _product_result(2 * n, out, self._sym._den * den))
+                    for key, c in column.items():
+                        col[key] = col.get(key, 0) + c * w
+            if col:
+                out = _mul_into(out, terms, col)
+        den = self._sym._den * other._sym._den
+        return DiffOp._of_symbol(self._n, _product_result(2 * self._n, out, den))
 
     def diamond(self, other: DiffOp) -> DiffOp:
         """Operator composition (associative): the full Leibniz sum over gamma <= alpha."""
@@ -276,8 +312,8 @@ class DiffOp:
         n, den = self._n, p._den
         mask = (1 << (W * n)) - 1
         out: dict[int, int] = {}
-        for a, terms in self._groups().items():
-            dp = p.partial(_unpack(a, n))  # over a divisor of p's denominator
+        for beta, terms in self._groups().items():
+            dp = p.partial(beta)  # over a divisor of p's denominator
             if dp._nums:
                 k = den // dp._den
                 u = {key & mask: c for key, c in terms.items()}
@@ -296,27 +332,22 @@ class DiffOp:
     def __str__(self) -> str:
         # a one-term coefficient c*x^alpha merges into its term; a longer one
         # is a parenthesised factor with scalar one, so it carries no sign. Each distinct
-        # x-monomial is unpacked and rendered once per call, with its graded-lex sort key:
-        # the coefficients of a large operator share few of them
+        # x-monomial is ranked by one _graded_lex sort and rendered once per call, and each
+        # coefficient's terms sort by that int rank: a large operator's coefficients share
+        # few monomials
         n, den = self._n, self._sym._den
         mask = (1 << (W * n)) - 1
-        groups = self._groups()
-        monomials: dict[int, tuple[tuple[int, MultiIndex], str]] = {}
+        ranked = _graded_lex((_unpack(x, n), x) for x in {key & mask for key in self._sym._nums})
+        rank = {x: r for r, (_, x) in enumerate(ranked)}
+        monomials = [_monomial_str(alpha) for alpha, _ in ranked]
         parts = []
-        for beta, a in _graded_lex((_unpack(a, n), a) for a in groups):
-            terms = []
-            for key, c in groups[a].items():
-                key &= mask
-                if key not in monomials:
-                    alpha = _unpack(key, n)
-                    monomials[key] = (sum(alpha), alpha), _monomial_str(alpha)
-                terms.append((monomials[key], c))
-            if len(terms) == 1:
-                (((_, mono), c),) = terms
-                d = den
+        for beta, terms in _graded_lex(self._groups().items()):
+            row = sorted([(rank[key & mask], c) for key, c in terms.items()])
+            if len(row) == 1:
+                ((r, c),) = row
+                mono, d = monomials[r], den
             else:
-                terms.sort(key=lambda t: t[0][0], reverse=True)  # _graded_lex's order
-                inner = _join_signed([_term(c, den, mono) for (_, mono), c in terms])
+                inner = _join_signed([_term(c, den, monomials[r]) for r, c in row])
                 c, d, mono = 1, 1, f"({inner})"
             dpart = _monomial_str(beta, "d")
             parts.append(_term(c, d, f"{mono}*{dpart}" if mono and dpart else mono or dpart))

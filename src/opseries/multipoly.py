@@ -94,10 +94,7 @@ def _check_exponents(alpha: Iterable[int], n: int, what: str) -> MultiIndex:
 
 def index_binomial(alpha: MultiIndex, gamma: MultiIndex) -> int:
     """Product of componentwise binomial coefficients (alpha_i choose gamma_i)."""
-    out = 1
-    for a, g in zip(alpha, gamma):
-        out *= math.comb(a, g)
-    return out
+    return math.prod(map(math.comb, alpha, gamma))
 
 
 def sub_indices(alpha: MultiIndex) -> Iterator[MultiIndex]:

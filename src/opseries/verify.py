@@ -385,15 +385,20 @@ def verify_inversion(f: EgfSeries, order: int, description: str = "") -> VerifyR
     return _report("inversion", desc, left, right, started)
 
 
+def _compos_suite(spec: RandomSpec, trials: int, m: int) -> list[VerifyReport]:
+    # m = 0 is refused here, before any draw: the empty operator list it would draw names
+    # no flag
+    _check_int(m, 1, "operator count m must be at least 1")
+    return [verify_partition_expansion(_op_list_from_rng(rng, spec, m), desc)
+            for rng, desc in _trials(spec, trials)]
+
+
 # suite name -> (the size flag it reads, "m" or "order", or None; that flag's default;
 # the runner, called with the RandomSpec, the trial count and the size)
 SUITES: dict[str, tuple[str | None, int | None, Callable[..., list[VerifyReport]]]] = {
     "prop1": (None, None, lambda spec, trials, _: verify_product_identities(spec, trials)),
     "corollary": (None, None, lambda spec, trials, _: verify_composition_split(spec, trials)),
-    "compos": ("m", 3, lambda spec, trials, m: [
-        verify_partition_expansion(_op_list_from_rng(rng, spec, m), desc)
-        for rng, desc in _trials(spec, trials)
-    ]),
+    "compos": ("m", 3, _compos_suite),
     "bellpower": ("m", 4, lambda spec, trials, m: [
         verify_bell_power(_vector_field_from_rng(rng, spec), m, desc)
         for rng, desc in _trials(spec, trials)

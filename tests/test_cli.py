@@ -12,6 +12,8 @@ from itertools import takewhile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opseries import DiffOp, EgfSeries, from_json_dict
 from opseries import cli
@@ -215,6 +217,14 @@ class TestVerify:
         assert out == ""
         assert contract in err
 
+    def test_compos_without_operators_exits_2_before_any_draw(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify_module, "_op_list_from_rng",
+                            lambda *args: pytest.fail("operators drawn"))
+        code, out, err = run(["verify", "compos", "--m", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: operator count m must be at least 1, got 0\n"
+
     def test_bellpower_over_its_product_bound_exits_2_before_any_product(
         self, monkeypatch, capsys
     ):
@@ -371,12 +381,42 @@ class TestStartUp:
         assert not added & {"dataclasses", "inspect"}
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    """The CLI's JSON writer against json.dumps(indent=2, sort_keys=True)."""
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300)
+    def test_writes_the_bytes_of_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], {"a": [], "b": {}}, [[], {}, [[]]], {"z": 1, "a": {"y": [True, None]}},
+         "quote \" backslash \\ newline \n tab \t nul \x00 e\u0301 \u2603 \U0001f600",
+         {"\u00e9\n": "\x1f"}, [-0.0, 1e300, float("inf"), float("nan")], 2**200],
+        ids=["empty_dict", "empty_list", "empty_members", "nested_empties", "sorted_keys",
+             "escapes", "escaped_key", "floats", "big_int"],
+    )
+    def test_empty_containers_and_escapes(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 class TestNoCycles:
     @pytest.mark.parametrize(
         "call",
         [lambda: set_partitions(6), lambda: integer_partitions(12),
-         lambda: main(["verify", "compos", "--m", "6"])],
-        ids=["set_partitions", "integer_partitions", "verify_compos_text"],
+         lambda: main(["verify", "compos", "--m", "6"]),
+         lambda: main(["verify", "compos", "--m", "6", "--format", "json"]),
+         lambda: main(XEMX_ARGS + ["--method", "all", "--format", "json"])],
+        ids=["set_partitions", "integer_partitions", "verify_compos_text", "verify_compos_json",
+             "invert_all_json"],
     )
     def test_leaves_nothing_for_the_cycle_collector(self, call, capsys):
         call()  # warm up: first calls fill caches and import lazily

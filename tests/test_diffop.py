@@ -3,11 +3,13 @@
 import math
 from functools import reduce
 import operator
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, islice, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opseries import (
@@ -25,6 +27,7 @@ from opseries import (
 import opseries.diffop as diffop_module
 import opseries.multipoly as multipoly_module
 from opseries.diffop import _circ_powers, _diamond_powers, _sum
+from opseries.verify import RandomSpec, random_op_list
 from opseries.multipoly import _join_signed, _monomial_str
 from test_multipoly import COEFFS, assert_unequal, convolve_terms, polys
 
@@ -368,6 +371,159 @@ class TestAgainstTheGeneratorSum:
         high = DiffOp(1, {(2**30,): 1})
         assert high.diamond(xd()) == DiffOp(1, {(2**30 + 1,): x1, (2**30,): 2**30})
         assert high.circ(xd()).is_zero()
+
+
+def per_pair_kernel(x, y, name):
+    """The symbol kernel as it was before columns were kept and merged.
+
+    One multiply per (group alpha of x, gamma) pair, each ``d_x^gamma`` of
+    y's symbol formed afresh for every product.
+    """
+    n, w = x.n, multipoly_module.W
+    den, zeros, mask = y._sym._den, (0,) * n, (1 << (w * n)) - 1
+    top = (0,) * n
+    for key in y._sym._nums:
+        top = tuple(map(max, top, multipoly_module._unpack(key & mask, n)))
+    groups = {}
+    for key, c in x._sym._nums.items():
+        groups.setdefault(key >> (w * n), {})[key] = c
+    derivatives, out = {}, {}
+    for a, terms in groups.items():
+        alpha = multipoly_module._unpack(a, n)
+        bound = tuple(map(min, alpha, top))
+        gammas = [alpha] if name == "circ" else product(*(range(e + 1) for e in bound))
+        for gamma in gammas:
+            if gamma not in derivatives:
+                right = y._sym.partial(gamma + zeros)
+                k, xi = den // right._den, multipoly_module._pack(gamma) << (w * n)
+                derivatives[gamma] = {key - xi: c * k for key, c in right._nums.items()}
+            cols = derivatives[gamma]
+            if cols:
+                weight = multipoly_module.index_binomial(alpha, gamma)
+                weighted = {key: c * weight for key, c in cols.items()}
+                out = multipoly_module._mul_into(out, terms, weighted)
+    symbol = multipoly_module._product_result(2 * n, out, x._sym._den * den)
+    return DiffOp._of_symbol(n, symbol)
+
+
+def fresh(op):
+    """The same operator built again through the public constructor, with empty caches."""
+    return DiffOp(op.n, dict(op.items()))
+
+
+class TestKeptColumns:
+    """Each operator keeps its groups and its Leibniz columns; nothing else sees them."""
+
+    @pytest.mark.parametrize("name", ["diamond", "circ"])
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(mixed_ops(n, 3), mixed_ops(n, 3))))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_per_pair_kernel(self, name, pair):
+        x, y = pair
+        expected = per_pair_kernel(x, y, name)
+        assert getattr(x, name)(y) == expected
+        # again, now that y's columns and x's groups are kept
+        assert getattr(x, name)(y) == expected
+        assert getattr(fresh(x), name)(y) == expected
+
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(mixed_ops(n, 3), mixed_ops(n, 3), mixed_polys(n))))
+    @settings(max_examples=60, deadline=None)
+    def test_caches_change_no_equality_hash_string_or_items(self, ops):
+        x, y, p = ops
+        assume(not x.is_zero() and not y.is_zero())  # a zero operator has nothing to keep
+        seen = [(op, hash(op), str(op), op.items()) for op in (x, y)]
+        for left, right in ((x, y), (y, x), (x, x)):
+            left.diamond(right), left.circ(right), left.bullet(right)
+        x.apply(p), x.coefficient((0,) * x.n), y.orders()
+        for op, h, text, items in seen:
+            assert op._split is not None and op._columns is not None  # the caches were used
+            copy = fresh(op)
+            assert copy._split is None and copy._columns is None
+            assert op == copy and copy == op
+            assert hash(op) == hash(copy) == h
+            assert str(op) == str(copy) == text
+            assert op.items() == copy.items() == items
+
+    @pytest.mark.parametrize("name", ["diamond", "circ", "bullet"])
+    def test_a_result_starts_with_empty_caches(self, name):
+        x = DiffOp(2, {(1, 0): MultiPoly.variable(2, 1), (0, 2): 3})
+        y = DiffOp(2, {(0, 1): MultiPoly.variable(2, 0), (1, 1): "1/2"})
+        x.orders(), y.diamond(x)  # x's groups and columns are kept
+        out = getattr(x, name)(y)
+        assert out._split is None and out._columns is None
+        assert out._sym is not x._sym and out._sym is not y._sym
+
+    @pytest.mark.parametrize("name", ["diamond", "circ"])
+    def test_a_product_reads_kept_groups_and_keeps_none_it_made(self, name, monkeypatch):
+        # a diamond power's left operand is a fresh result used once: its groups kept
+        # through the product's reduction would raise the peak memory
+        x = DiffOp(2, {(1, 0): MultiPoly.variable(2, 1), (0, 2): 3})
+        y = DiffOp(2, {(0, 1): MultiPoly.variable(2, 0), (1, 1): "1/2"})
+        expected = getattr(x, name)(y)
+        assert x._split is None and y._split is None
+        kept = x._groups()
+        monkeypatch.setattr(DiffOp, "_split_terms", lambda op: pytest.fail("split again"))
+        assert getattr(x, name)(y) == expected
+        assert x._split is kept
+
+    def test_the_63_blocks_at_m_6_form_each_column_once(self, monkeypatch):
+        # a block is the right operand of every L_j o with j above its labels: its d_x^g is
+        # formed by one partial however many circs read it
+        ops = random_op_list(RandomSpec(seed=1), 6)
+        calls, kept = [], []
+        partial = MultiPoly.partial
+
+        def counted(poly, alpha):
+            calls.append((id(poly), tuple(alpha)))
+            kept.append(poly)  # no id is reused while the pin runs
+            return partial(poly, alpha)
+
+        monkeypatch.setattr(MultiPoly, "partial", counted)
+        memo = {}
+        for size in range(1, 7):
+            for labels in combinations(range(1, 7), size):
+                diffop_module._block(ops, labels, memo)
+        assert len(memo) == 63
+        # each block below the full set is read by a circ (the 32 blocks holding 6 are not),
+        # each through the two columns d_x1 and d_x2 of a vector field's groups
+        assert len(calls) == len(set(calls)) == 31 * 2
+
+    def test_threads_sharing_operands_fill_each_cache_with_its_one_value(self):
+        # operators are shared freely across threads: a cache that two threads fill at once
+        # may cost the work twice, never a value. Each round starts the threads together on
+        # operands whose caches are empty
+        ops = random_op_list(RandomSpec(seed=3, n=3), 2)
+        expected = (fresh(ops[0]).circ(fresh(ops[1])), fresh(ops[1]).diamond(fresh(ops[0])))
+        rounds = [[fresh(op) for op in ops] for _ in range(40)]
+        barrier = threading.Barrier(6, timeout=60)
+        results = [[] for _ in range(6)]
+
+        def work(out):
+            for x, y in rounds:
+                barrier.wait()
+                out.append((x.circ(y), y.diamond(x)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(out == [expected] * len(rounds) for out in results)
+
+    def test_circ_reads_its_kept_column_with_no_weight(self, monkeypatch):
+        # circ's one gamma per group is alpha itself, whose (alpha choose alpha) is 1
+        x = DiffOp(2, {(1, 0): MultiPoly.variable(2, 1), (0, 2): 3})
+        y = DiffOp(2, {(0, 0): MultiPoly.variable(2, 0) * MultiPoly.variable(2, 1)})
+        expected = per_pair_kernel(x, y, "circ")
+        monkeypatch.setattr(diffop_module, "index_binomial",
+                            lambda *args: pytest.fail("a weight was formed"))
+        assert x.circ(y) == expected
 
 
 # denominators 1, 2, 3 and 6, so that a later addend's need not divide the running one

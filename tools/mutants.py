@@ -69,10 +69,34 @@ MUTANTS = (
         "return self._product(other, lambda alpha: sub_indices(alpha))",
     ),
     Mutant(
-        "diamond without its (a choose g) weight",
+        "diamond without its (a choose g) weight: the merged column drops it for g != a",
         "src/opseries/diffop.py",
         "w = index_binomial(alpha, gamma)",
         "w = 1",
+    ),
+    Mutant(
+        "the kept column of d_x^g is not lowered by xi^g",
+        "src/opseries/diffop.py",
+        "{key - xi: c * k for key, c in right._nums.items()}",
+        "{key: c * k for key, c in right._nums.items()}",
+    ),
+    Mutant(
+        "the merged column accumulates into its first kept column instead of a fresh map",
+        "src/opseries/diffop.py",
+        "col = {}",
+        "col = cols[0][1] if cols else {}",
+    ),
+    Mutant(
+        "every product forms its right operand's columns again, none kept",
+        "src/opseries/diffop.py",
+        "if gamma not in columns:",
+        "if True:",
+    ),
+    Mutant(
+        "a product keeps the groups it split of its left operand",
+        "src/opseries/diffop.py",
+        "(self._split_terms() if split is None else split).items()",
+        "self._groups().items()",
     ),
     Mutant(
         "a block nests its circs from the wrong side, block(i_1 .. i_(s-1)) o L_(i_s)",
