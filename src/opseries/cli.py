@@ -52,10 +52,6 @@ def _json(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _emit_json(payload) -> None:
-    print(_json(payload))
-
-
 def _cmd_invert(args) -> int:
     f = _load_series(args)
     order = args.order
@@ -80,7 +76,7 @@ def _cmd_invert(args) -> int:
             }
         if c_terms is not None:
             payload["c"] = [str(c) for c in c_terms.coeffs]
-        _emit_json(payload)
+        print(_json(payload))
     else:
         print(f"method: {args.method}")
         print(f"inverse: {inverse}")
@@ -103,7 +99,7 @@ def _cmd_verify(args) -> int:
         order=args.order,
     )
     if args.format == "json":
-        _emit_json([r.as_dict() for r in reports])
+        print(_json([r.as_dict() for r in reports]))
     else:
         for r in reports:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.theorem} [{r.description}] "
@@ -120,7 +116,7 @@ def _cmd_verify(args) -> int:
 def _cmd_partitions(args) -> int:
     parts = set_partitions(args.m)
     if args.format == "json":
-        _emit_json({"m": args.m, "count": len(parts), "partitions": [str(p) for p in parts]})
+        print(_json({"m": args.m, "count": len(parts), "partitions": [str(p) for p in parts]}))
     else:
         for p in parts:
             print(p)
@@ -131,13 +127,11 @@ def _cmd_partitions(args) -> int:
 def _cmd_bell(args) -> int:
     poly = bell_polynomial(args.m)
     if args.format == "json":
-        _emit_json(
-            {
-                "m": args.m,
-                "polynomial": str(poly),
-                "coefficients": {str(part): count for part, count in poly.items()},
-            }
-        )
+        print(_json({
+            "m": args.m,
+            "polynomial": str(poly),
+            "coefficients": {str(part): count for part, count in poly.items()},
+        }))
     else:
         print(poly)
     return 0
@@ -178,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, help="variable count (default 2)")
     p_ver.add_argument("--degree", type=int, help="coefficient degree bound (default 2)")
     for flag, what in (("m", "instance size"), ("order", "series or z order")):
-        readers = ", ".join(f"{s} (default {d})" for s, (f, d, _) in SUITES.items() if f == flag)
+        readers = ", ".join(f"{suite} (default {row[0][flag]})"
+                            for suite, row in SUITES.items() if flag in row[0])
         p_ver.add_argument(f"--{flag}", type=int, default=None, help=f"{what}, read by {readers}")
     p_ver.add_argument("--format", choices=["json", "text"], default="text")
     p_ver.set_defaults(func=_cmd_verify)

@@ -337,6 +337,8 @@ def _as_invertible(f: EgfSeries, needed: int = 1) -> None:
     Every public function taking an invertible ``f`` runs this exactly once,
     itself or through one callee, with the order of ``f`` that it reads.
     """
+    if not isinstance(f, EgfSeries):
+        raise TypeError(f"the series to invert must be an EgfSeries, got {type(f).__name__}")
     if f.order < 1:
         raise ValueError("an invertible series needs order >= 1")
     if f[0] != 0:
@@ -397,6 +399,8 @@ def operator_iterate(f: EgfSeries, start: EgfSeries, count: int) -> EgfSeries:
     enough for the 1/f' factor not to be the binding truncation).
     """
     _as_invertible(f)
+    if not isinstance(start, EgfSeries):
+        raise TypeError(f"the start must be an EgfSeries, got {type(start).__name__}")
     _check_int(count, 0, f"iteration count must lie in 0..{start.order} (the start order)",
                start.order)
     return next(islice(_iterates(f, start), count, None))

@@ -23,15 +23,7 @@ from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling
 from .diffop import (DiffOp, _check_op_list, _circ_powers, _diamond_powers, diamond_chain,
                      power_diamond, unit_op)
 from .multipoly import MultiIndex, MultiPoly, _check_int, _read_only
-from .series import (
-    EgfSeries,
-    _exp_recurrence,
-    _quotient,
-    classical_inverse,
-    log_form_inverse,
-    newton_inverse,
-    operator_inverse,
-)
+from .series import INVERSE_METHODS, EgfSeries, _exp_recurrence, _quotient
 
 DEFAULT_POOL = (
     Fraction(0),
@@ -124,12 +116,12 @@ def _trial_seed(seed: int, trial: int) -> int:
 def _trials(
     spec: RandomSpec, trials: int, sized: bool = True
 ) -> Iterator[tuple[random.Random, str]]:
-    # each trial's seeded stream and the description that regenerates it
-    for t in range(trials):
-        desc = f"seed={spec.seed} trial={t}"
-        if sized:
-            desc += f" n={spec.n} degree<={spec.max_degree}"
-        yield random.Random(_trial_seed(spec.seed, t)), desc
+    # each trial's seeded stream and the description that regenerates it; the count is
+    # checked here, at the call, so that no checker passes on zero trials
+    _check_int(trials, 1, "trials must be at least 1")
+    sizes = f" n={spec.n} degree<={spec.max_degree}" if sized else ""
+    return ((random.Random(_trial_seed(spec.seed, t)), f"seed={spec.seed} trial={t}{sizes}")
+            for t in range(trials))
 
 
 def _index_at(n: int, bound: int, rank: int) -> MultiIndex:
@@ -369,18 +361,14 @@ def verify_inversion(f: EgfSeries, order: int, description: str = "") -> VerifyR
     label, are for output only.
     """
     started = time.perf_counter()
-    g_classical = classical_inverse(f, order)  # checks f first, for all four
-    g_operator = operator_inverse(f, order)
-    g_log = log_form_inverse(f, order)
-    g_newton = newton_inverse(f, order)
+    # classical, the first method, reads f to order + 1 and so checks f for all four
+    inverses = {name: inverse(f, order) for name, inverse in INVERSE_METHODS.items()}
+    g = inverses["classical"]
     ident = EgfSeries.identity(order)
     f_n = f.truncate(order)
-    f_after_g = f_n.compose(g_classical)
-    g_after_f = g_classical.compose(f_n)
 
-    labels = ("classical", "operator", "log", "newton", "f(g)", "g(f)")
-    left = list(zip(labels, [g_classical] * 4 + [ident] * 2))
-    right = list(zip(labels, [g_classical, g_operator, g_log, g_newton, f_after_g, g_after_f]))
+    left = [(name, g) for name in inverses] + [("f(g)", ident), ("g(f)", ident)]
+    right = [*inverses.items(), ("f(g)", f_n.compose(g)), ("g(f)", g.compose(f_n))]
     desc = f"{description} order={order} a1={f[1]}".strip()
     return _report("inversion", desc, left, right, started)
 
@@ -393,31 +381,31 @@ def _compos_suite(spec: RandomSpec, trials: int, m: int) -> list[VerifyReport]:
             for rng, desc in _trials(spec, trials)]
 
 
-# suite name -> (the size flag it reads, "m" or "order", or None; that flag's default;
-# the runner, called with the RandomSpec, the trial count and the size)
-SUITES: dict[str, tuple[str | None, int | None, Callable[..., list[VerifyReport]]]] = {
-    "prop1": (None, None, lambda spec, trials, _: verify_product_identities(spec, trials)),
-    "corollary": (None, None, lambda spec, trials, _: verify_composition_split(spec, trials)),
-    "compos": ("m", 3, _compos_suite),
-    "bellpower": ("m", 4, lambda spec, trials, m: [
+# the flags of a random operator instance, each mapped to its unset value
+_INSTANCE = {"trials": 1, "n": 2, "degree": 2}
+
+# suite name -> (each flag it reads besides --seed, mapped to its unset value; the runner,
+# called with the RandomSpec and the row's other flags by keyword). stirling checks one
+# fixed operator, and inversion draws series, which have no variable count or degree
+SUITES: dict[str, tuple[dict[str, int], Callable[..., list[VerifyReport]]]] = {
+    "prop1": (_INSTANCE, lambda spec, trials: verify_product_identities(spec, trials)),
+    "corollary": (_INSTANCE, lambda spec, trials: verify_composition_split(spec, trials)),
+    "compos": ({**_INSTANCE, "m": 3}, _compos_suite),
+    "bellpower": ({**_INSTANCE, "m": 4}, lambda spec, trials, m: [
         verify_bell_power(_vector_field_from_rng(rng, spec), m, desc)
         for rng, desc in _trials(spec, trials)
     ]),
-    "expid": ("order", 5, lambda spec, trials, order: [
+    "expid": ({**_INSTANCE, "order": 5}, lambda spec, trials, order: [
         verify_exp_identity(_vector_field_from_rng(rng, spec), order, desc)
         for rng, desc in _trials(spec, trials)
     ] + [verify_exp_identity_xd(order)]),
-    "stirling": ("m", 6, lambda spec, trials, m: [verify_stirling_power(m)]),
+    "stirling": ({"m": 6}, lambda spec, m: [verify_stirling_power(m)]),
     # the instance depends on neither n nor degree, so neither is described
-    "inversion": ("order", 8, lambda spec, trials, order: [
+    "inversion": ({"trials": 1, "order": 8}, lambda spec, trials, order: [
         verify_inversion(_series_from_rng(rng, order + 1), order, desc)
         for rng, desc in _trials(spec, trials, sized=False)
     ]),
 }
-# the instance flags a suite does not read, refused when given: stirling checks one fixed
-# operator, and inversion draws series, which have no variable count or coefficient degree;
-# --seed is accepted by every suite
-UNREAD_FLAGS = {"stirling": ("trials", "n", "degree"), "inversion": ("n", "degree")}
 
 
 def run_suite(
@@ -436,26 +424,26 @@ def run_suite(
     composition splits), ``compos`` (set-partition expansion),
     ``bellpower`` (Bell-polynomial powers), ``expid`` (generating-function
     identity, plus the x*d specialization), ``stirling`` (normal form of
-    powers of x*d), ``inversion`` (four-way inverse agreement).  Each suite
-    reads at most one size, ``m`` or ``order`` (see ``SUITES``); the
-    other is refused, and an unset one takes the suite's default.  So is
-    each of ``trials``, ``n`` and ``degree`` that the suite does not read
-    (see ``UNREAD_FLAGS``); unset, they are 1, 2 and 2.
+    powers of x*d), ``inversion`` (four-way inverse agreement).  Each
+    suite's row in ``SUITES`` names the flags it reads besides ``seed``:
+    at most one size, ``m`` or ``order``, and some of ``trials``, ``n``
+    and ``degree``.  A given flag outside the row is refused before any
+    value is checked; an unset one in it takes the row's value.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    knobs = {"trials": trials, "n": n, "degree": degree}
-    for knob in UNREAD_FLAGS.get(name, ()):
-        if knobs[knob] is not None:
-            raise ValueError(f"suite {name!r} does not read --{knob}")
-    spec = RandomSpec(seed, 2 if n is None else n, 2 if degree is None else degree)
-    trials = 1 if trials is None else _check_int(trials, 1, "trials must be at least 1")
-    flag, default, run = SUITES[name]
-    sizes = {"m": m, "order": order}
-    for given, value in sizes.items():
-        if value is not None and given != flag:
-            reads = f"--{flag}" if flag else "no size flag"
-            raise ValueError(f"suite {name!r} does not read --{given}; it reads {reads}")
-    size = sizes.get(flag)
-    size = default if size is None else _check_int(size, 0, f"--{flag} must be an integer >= 0")
-    return run(spec, trials, size)
+    reads, run = SUITES[name]
+    given = {"trials": trials, "n": n, "degree": degree, "m": m, "order": order}
+    given = {flag: value for flag, value in given.items() if value is not None}
+    for flag in given:
+        if flag in reads:
+            continue
+        if flag in _INSTANCE:
+            raise ValueError(f"suite {name!r} does not read --{flag}")
+        size = next((f"--{f}" for f in reads if f not in _INSTANCE), "no size flag")
+        raise ValueError(f"suite {name!r} does not read --{flag}; it reads {size}")
+    flags = {**reads, **given}
+    spec = RandomSpec(seed, flags.pop("n", 2), flags.pop("degree", 2))
+    for flag in flags.keys() - _INSTANCE.keys():
+        _check_int(flags[flag], 0, f"--{flag} must be an integer >= 0")
+    return run(spec, **flags)

@@ -554,15 +554,10 @@ def factors_of(addends):
 
 
 class TestStreamedSum:
-    """_sum, one numerator map over a running denominator, against pairwise +."""
+    """_sum, one numerator map over a running denominator: its denominator and refusals.
 
-    @given(st.integers(1, 2).flatmap(lambda n: st.lists(mixed_ops(n), min_size=1, max_size=6)))
-    @settings(max_examples=80)
-    def test_equals_the_pairwise_sum(self, ops):
-        before = [dict(op._sym._nums) for op in ops]
-        total = _sum(ops[0].n, (op for op in ops))
-        assert total == reduce(DiffOp.__add__, ops)
-        assert [op._sym._nums for op in ops] == before  # no addend is changed
+    Its terms are checked against Fraction-level sums in TestSumsAgainstFractions.
+    """
 
     @given(st.integers(1, 2).flatmap(lambda n: st.lists(mixed_ops(n), min_size=1, max_size=4)))
     @settings(max_examples=40)
@@ -627,7 +622,7 @@ class TestSumsAgainstFractions:
             assert dict(total.items()) == expected and total == MultiPoly(n, expected)
         assert [(p._nums, p._den) for p in ps] == before  # no addend changes, the first included
 
-    @given(st.integers(1, 2).flatmap(lambda n: st.lists(mixed_ops(n), min_size=1, max_size=5)))
+    @given(st.integers(1, 2).flatmap(lambda n: st.lists(mixed_ops(n), min_size=1, max_size=6)))
     @settings(max_examples=60)
     def test_operator_sums(self, ops):
         n = ops[0].n

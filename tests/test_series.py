@@ -362,6 +362,12 @@ NOT_INVERTIBLE = {
     "too-short": (EgfSeries([0, 1]), "input series must be valid to order [23], has 1"),
 }
 
+# each leaked AttributeError: 'int' object has no attribute 'order'
+NOT_A_SERIES = {
+    **{entry: lambda call=call: call(5, 5) for entry, call in TAKES_INVERTIBLE.items()},
+    "operator_iterate_start": lambda: operator_iterate(x_exp_minus_x(3), 5, 0),
+}
+
 
 class TestInvertibilityRefusals:
     @pytest.mark.parametrize(
@@ -378,6 +384,11 @@ class TestInvertibilityRefusals:
         f, contract = NOT_INVERTIBLE[case]
         with pytest.raises(ValueError, match=contract):
             TAKES_INVERTIBLE[entry](f, 2)
+
+    @pytest.mark.parametrize("entry", list(NOT_A_SERIES))
+    def test_a_non_series_is_refused_by_type(self, entry):
+        with pytest.raises(TypeError, match="must be an EgfSeries, got int$"):
+            NOT_A_SERIES[entry]()
 
 
 class TestClassicalInverse:

@@ -2,6 +2,7 @@
 
 import json
 import operator
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -38,7 +39,7 @@ import opseries.series as series_module
 import opseries.verify as verify_module
 from opseries.cli import main
 from opseries.combinat import stirling2
-from opseries.verify import SUITES, UNREAD_FLAGS, _index_at, _report, _trial_seed
+from opseries.verify import SUITES, _index_at, _report, _trial_seed
 from test_series import TAKES_INVERTIBLE
 
 
@@ -552,6 +553,34 @@ class TestCheckersCanFail:
         assert differing_labels(report) == {"f(g)", "g(f)"}
 
 
+# the flags each suite reads besides --seed, written out apart from SUITES
+READS = {
+    "prop1": {"trials", "n", "degree"},
+    "corollary": {"trials", "n", "degree"},
+    "compos": {"trials", "n", "degree", "m"},
+    "bellpower": {"trials", "n", "degree", "m"},
+    "expid": {"trials", "n", "degree", "order"},
+    "stirling": {"m"},
+    "inversion": {"trials", "order"},
+}
+SIZE_FLAGS = ("m", "order")
+GRID = [(name, flag) for name in READS for flag in ("trials", "n", "degree", *SIZE_FLAGS)]
+
+
+def size_read(name):
+    return next((f"--{flag}" for flag in SIZE_FLAGS if flag in READS[name]), "no size flag")
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("trials", [0, -1, 1.5, True])
+    @pytest.mark.parametrize("checker", [verify_product_identities, verify_composition_split])
+    def test_a_count_below_one_or_not_an_int_is_refused(self, checker, trials):
+        # 0 and -1 returned no report, a vacuous pass; 1.5 leaked a TypeError; True ran once
+        message = re.escape(f"trials must be at least 1, got {trials!r}")
+        with pytest.raises(ValueError, match=message):
+            checker(RandomSpec(seed=1), trials)
+
+
 class TestRunSuite:
     def test_suites_keep_their_names_and_order(self):
         assert list(SUITES) == [
@@ -574,10 +603,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize(
         "name, flag, reads",
-        [("prop1", "m", "no size flag"), ("prop1", "order", "no size flag"),
-         ("corollary", "order", "no size flag"), ("compos", "order", "--m"),
-         ("bellpower", "order", "--m"), ("expid", "m", "--order"),
-         ("stirling", "order", "--m"), ("inversion", "m", "--order")],
+        [(name, flag, size_read(name)) for name, flag in GRID
+         if flag in SIZE_FLAGS and flag not in READS[name]],
     )
     def test_a_size_the_suite_does_not_read_is_refused(self, monkeypatch, name, flag, reads):
         monkeypatch.setattr(verify_module, "_trials", lambda *a, **k: pytest.fail("ran"))
@@ -587,14 +614,43 @@ class TestRunSuite:
 
     @pytest.mark.parametrize(
         "name, flag",
-        [("stirling", "trials"), ("stirling", "n"), ("stirling", "degree"),
-         ("inversion", "n"), ("inversion", "degree")],
+        [(name, flag) for name, flag in GRID
+         if flag not in SIZE_FLAGS and flag not in READS[name]],
     )
     def test_an_instance_flag_the_suite_does_not_read_is_refused(self, monkeypatch, name, flag):
         monkeypatch.setattr(verify_module, "_trials", lambda *a, **k: pytest.fail("ran"))
         monkeypatch.setattr(verify_module, "verify_stirling_power", lambda m: pytest.fail("ran"))
         with pytest.raises(ValueError, match=f"^suite '{name}' does not read --{flag}$"):
             run_suite(name, **{flag: 1})
+
+    @pytest.mark.parametrize(
+        "name, flag", [(name, flag) for name, flag in GRID if flag in READS[name]]
+    )
+    def test_a_flag_the_suite_reads_reaches_its_runner(self, monkeypatch, name, flag):
+        received = []
+
+        def runner(spec, **flags):
+            received.append((spec, flags))
+            return []
+
+        monkeypatch.setitem(SUITES, name, (SUITES[name][0], runner))
+        assert run_suite(name, seed=4, **{flag: 3}) == []
+        ((spec, flags),) = received
+        # n and degree reach the runner inside the RandomSpec, the rest by keyword
+        assert flags.keys() == READS[name] - {"n", "degree"}
+        assert {**flags, "n": spec.n, "degree": spec.max_degree}[flag] == 3
+        assert spec.seed == 4
+
+    @pytest.mark.parametrize("name, flags, message", [
+        ("prop1", {"n": 0, "m": 3}, "does not read --m; it reads no size flag"),
+        ("prop1", {"trials": 0, "order": -1}, "does not read --order; it reads no size flag"),
+        # of two unread flags, the first in run_suite's keyword order is named
+        ("stirling", {"order": -1, "degree": -1, "trials": 0}, "does not read --trials"),
+        ("inversion", {"m": -1, "n": 0}, "does not read --n"),
+    ])
+    def test_an_unread_flag_is_refused_before_any_value_is_checked(self, name, flags, message):
+        with pytest.raises(ValueError, match=f"^suite '{name}' {message}$"):
+            run_suite(name, **flags)
 
     def test_unset_instance_flags_take_their_defaults(self):
         # every suite takes --seed; a suite that reads trials, n or degree defaults them to 1, 2, 2
@@ -613,7 +669,7 @@ class TestRunSuite:
 
     def test_every_suite_runs_green(self):
         for name in SUITES:
-            trials = {} if "trials" in UNREAD_FLAGS.get(name, ()) else {"trials": 2}
+            trials = {"trials": 2} if "trials" in READS[name] else {}
             reports = run_suite(name, seed=3, **trials)
             assert reports, name
             assert all(r.passed for r in reports), name

@@ -218,8 +218,20 @@ MUTANTS = (
     Mutant(
         "inversion never computes f(g)",
         "src/opseries/verify.py",
-        "f_after_g = f_n.compose(g_classical)",
-        "f_after_g = ident",
+        '("f(g)", f_n.compose(g))',
+        '("f(g)", ident)',
+    ),
+    Mutant(
+        "the inversion row reads --n and --degree",
+        "src/opseries/verify.py",
+        '"inversion": ({"trials": 1, "order": 8},',
+        '"inversion": ({**_INSTANCE, "order": 8},',
+    ),
+    Mutant(
+        "_trials without its count check: zero trials pass with no report",
+        "src/opseries/verify.py",
+        '_check_int(trials, 1, "trials must be at least 1")',
+        "pass",
     ),
     Mutant(
         "Miller's recurrence in classical_inverse without the - C(k, j+1) of its weight",
