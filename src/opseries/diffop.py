@@ -358,8 +358,8 @@ class DiffOp:
 
 
 def _check_operand(value: object, cls: type, method: str) -> None:
-    # a product's or apply's operand: any other value would fail deep inside with an
-    # AttributeError that names a private field
+    # an entry point's operand (a product's, apply's, a verify generator's or checker's): any
+    # other value would fail deep inside with an AttributeError that names a private field
     if not isinstance(value, cls):
         raise TypeError(f"{method} expects a {cls.__name__}, got {type(value).__name__}")
 

@@ -38,7 +38,7 @@ constant term and invertible linear coefficient:
   of the n-th power of ``x/f``, formed over integers by Miller's recurrence
   ``W P' = n W' P`` for ``P = W^n``;
 * :func:`operator_inverse` -- iterate ``s -> (1/f') * s'`` starting from
-  ``1/f'`` and collect constant terms;
+  ``1/f'`` of ``f`` truncated at the inverse order, and collect constant terms;
 * :func:`log_form_inverse` -- iterate the same operator starting from
   ``e^x``, then take the log of the collected constant-term series;
 * :func:`newton_inverse` -- triangular coefficient-by-coefficient solve
@@ -144,20 +144,31 @@ def _bell_columns(b: Sequence[int], order: int) -> Iterator[list[int]]:
         yield col
 
 
+def _scalars(coeffs: Iterable[Scalar | str]) -> tuple[Fraction, ...]:
+    # the coefficient-sequence contract: an iterable of scalars, each read by _scalar
+    if isinstance(coeffs, str):  # "012" would iterate as the coefficients 0, 1, 2
+        raise ValueError(f"coefficients must be a sequence of scalars, not the str {coeffs!r}")
+    try:
+        coeffs = map(_scalar, coeffs)  # map takes the iterator at once, not lazily
+    except TypeError:
+        raise ValueError(f"coefficients must be a sequence of scalars, got {coeffs!r}") from None
+    return tuple(coeffs)
+
+
+def _check_series(value: object, role: str) -> None:
+    # the series operand of a public entry point: any other value would fail deep inside
+    # with an AttributeError that names a private field
+    if not isinstance(value, EgfSeries):
+        raise TypeError(f"{role} must be an EgfSeries, got {type(value).__name__}")
+
+
 class EgfSeries:
     """Immutable truncated series ``sum_{m<=N} b_m x^m/m!`` over the rationals."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar | str]):
-        if isinstance(coeffs, str):  # "012" would iterate as the coefficients 0, 1, 2
-            raise ValueError(f"coefficients must be a sequence of scalars, not the str {coeffs!r}")
-        try:
-            coeffs = map(_scalar, coeffs)  # map takes the iterator at once, not lazily
-        except TypeError:
-            msg = f"coefficients must be a sequence of scalars, got {coeffs!r}"
-            raise ValueError(msg) from None
-        coeffs = tuple(coeffs)
+        coeffs = _scalars(coeffs)
         if not coeffs:
             raise ValueError("a series carries at least its constant term")
         self._coeffs = coeffs
@@ -211,6 +222,7 @@ class EgfSeries:
 
     def agrees_with(self, other: EgfSeries, order: int | None = None) -> bool:
         """Coefficientwise equality up to ``order`` (default: the smaller order)."""
+        _check_series(other, "the compared series")
         upto = min(self.order, other.order)
         if order is not None:
             upto = _check_int(order, 0, f"compared order must lie in 0..{upto}", upto)
@@ -337,8 +349,7 @@ def _as_invertible(f: EgfSeries, needed: int = 1) -> None:
     Every public function taking an invertible ``f`` runs this exactly once,
     itself or through one callee, with the order of ``f`` that it reads.
     """
-    if not isinstance(f, EgfSeries):
-        raise TypeError(f"the series to invert must be an EgfSeries, got {type(f).__name__}")
+    _check_series(f, "the series to invert")
     if f.order < 1:
         raise ValueError("an invertible series needs order >= 1")
     if f[0] != 0:
@@ -399,8 +410,7 @@ def operator_iterate(f: EgfSeries, start: EgfSeries, count: int) -> EgfSeries:
     enough for the 1/f' factor not to be the binding truncation).
     """
     _as_invertible(f)
-    if not isinstance(start, EgfSeries):
-        raise TypeError(f"the start must be an EgfSeries, got {type(start).__name__}")
+    _check_series(start, "the start")
     _check_int(count, 0, f"iteration count must lie in 0..{start.order} (the start order)",
                start.order)
     return next(islice(_iterates(f, start), count, None))
@@ -410,11 +420,15 @@ def operator_inverse(f: EgfSeries, order: int) -> EgfSeries:
     """Inverse coefficients as constant terms of operator iterates of 1/f'.
 
     ``b_n`` is the constant term after ``n-1`` applications of
-    ``(1/f') d/dx`` to ``1/f'``.  Needs ``f`` valid to ``order + 1``.
+    ``(1/f') d/dx`` to ``1/f'``, so iterate ``k`` is read only through order
+    ``order - 1 - k``: the iterates start from ``1/f'`` of ``f`` truncated at
+    ``order``, and the method reads ``f`` only through order ``order``.
+    About ``N^3/6`` multiply-adds at ``N = order``.  Needs ``f`` valid to
+    ``order + 1``, the contract the four methods share.
     """
     _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order + 1)
-    return EgfSeries._of([_ZERO] + [s[0] for s in islice(_iterates(f), order)])
+    return EgfSeries._of([_ZERO] + [s[0] for s in islice(_iterates(f.truncate(order)), order)])
 
 
 def log_form_terms(f: EgfSeries, order: int) -> EgfSeries:
@@ -475,16 +489,17 @@ INVERSE_METHODS = {
 
 def ogf_to_egf(coeffs: Sequence[Scalar | str]) -> list[Fraction]:
     """Rescale ordinary coefficients c_m to exponential ones b_m = m! c_m."""
-    return [_scalar(c) * math.factorial(m) for m, c in enumerate(coeffs)]
+    return [c * math.factorial(m) for m, c in enumerate(_scalars(coeffs))]
 
 
 def egf_to_ogf(coeffs: Sequence[Scalar | str]) -> list[Fraction]:
     """Rescale exponential coefficients b_m to ordinary ones c_m = b_m / m!."""
-    return [_scalar(c) / math.factorial(m) for m, c in enumerate(coeffs)]
+    return [c / math.factorial(m) for m, c in enumerate(_scalars(coeffs))]
 
 
 def to_json_dict(series: EgfSeries, convention: str = "egf") -> dict:
     """Serialize a series: rationals as exact \"p/q\" strings."""
+    _check_series(series, "the series to serialize")
     if convention == "egf":
         coeffs = list(series.coeffs)
     elif convention == "ogf":

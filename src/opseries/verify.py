@@ -20,8 +20,8 @@ from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling2
-from .diffop import (DiffOp, _check_op_list, _circ_powers, _diamond_powers, diamond_chain,
-                     power_diamond, unit_op)
+from .diffop import (DiffOp, _check_op_list, _check_operand, _circ_powers, _diamond_powers,
+                     diamond_chain, power_diamond, unit_op)
 from .multipoly import MultiIndex, MultiPoly, _check_int, _read_only
 from .series import INVERSE_METHODS, EgfSeries, _exp_recurrence, _quotient
 
@@ -118,6 +118,7 @@ def _trials(
 ) -> Iterator[tuple[random.Random, str]]:
     # each trial's seeded stream and the description that regenerates it; the count is
     # checked here, at the call, so that no checker passes on zero trials
+    _check_operand(spec, RandomSpec, "a verify suite")
     _check_int(trials, 1, "trials must be at least 1")
     sizes = f" n={spec.n} degree<={spec.max_degree}" if sized else ""
     return ((random.Random(_trial_seed(spec.seed, t)), f"seed={spec.seed} trial={t}{sizes}")
@@ -177,23 +178,27 @@ def _series_from_rng(rng: random.Random, order: int) -> EgfSeries:
 
 def random_vector_field(spec: RandomSpec) -> DiffOp:
     """First-order operator with random bounded-degree coefficients, seed-determined."""
+    _check_operand(spec, RandomSpec, "random_vector_field")
     return _vector_field_from_rng(random.Random(spec.seed), spec)
 
 
 def random_diffop(spec: RandomSpec, max_order: int = 2) -> DiffOp:
     """Operator with random terms of derivative order up to ``max_order``."""
+    _check_operand(spec, RandomSpec, "random_diffop")
     _check_int(max_order, 0, "derivative order bound must be non-negative")
     return _diffop_from_rng(random.Random(spec.seed), spec, max_order)
 
 
 def random_op_list(spec: RandomSpec, m: int) -> list[DiffOp]:
     """m first-order operators drawn from one seeded stream."""
+    _check_operand(spec, RandomSpec, "random_op_list")
     _check_int(m, 0, "operator count m must be non-negative")
     return _op_list_from_rng(random.Random(spec.seed), spec, m)
 
 
 def random_invertible_series(spec: RandomSpec, order: int) -> EgfSeries:
     """Invertible series of the given order with pool coefficients."""
+    _check_operand(spec, RandomSpec, "random_invertible_series")
     _check_int(order, 1, "an invertible series needs order >= 1")
     return _series_from_rng(random.Random(spec.seed), order)
 
@@ -275,7 +280,6 @@ def verify_partition_expansion(ops: Sequence[DiffOp], description: str = "") -> 
     ``m - 1`` diamonds the only ones formed.
     """
     started = time.perf_counter()
-    ops = list(ops)
     _check_op_list(ops)
     m = len(ops)
     summands = len(set_partitions(m))  # enforces the size cap before any product
@@ -304,6 +308,7 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
     bullet-logarithm round trip is checked alongside.
     """
     started = time.perf_counter()
+    _check_operand(op, DiffOp, "verify_exp_identity")
     if not op.is_first_order():
         raise ValueError("operator must be first order")
     _check_int(z_order, 0, _Z_ORDER)

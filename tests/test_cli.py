@@ -1,6 +1,8 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from itertools import takewhile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opseries import DiffOp, EgfSeries, from_json_dict
@@ -357,6 +359,74 @@ class TestParser:
         )
         assert fresh.returncode == 0 and '"inverse"' in fresh.stdout
         assert (code, out) == (0, fresh.stdout)
+
+
+# flag values as typed, valid ones drawn more often: a size is at most 3 when it parses, so
+# every call is cheap; the Arabic-Indic digit three is what argparse's int() reads as 3
+SIZES = st.sampled_from(["1", "2", "3"] * 3 + ["-1", "0", "1.5", "1e3", "\u0663", "x", ""])
+SEEDS = st.sampled_from(["0", "1", "-7", "99999999999999999999", "1.5", "\u0663"])
+FORMATS = st.sampled_from(["json", "text"] * 3 + ["xml"])
+# a series 0, a_1, ... of 2 to 7 coefficients, the last one bad in about one draw of three
+COEFFS = st.tuples(
+    st.lists(st.sampled_from(["1", "-1", "1/2", "2", "0", "1.5", "1e3", "\u0663"]),
+             min_size=1, max_size=5),
+    st.sampled_from([[]] * 8 + [["1/0"], ["x"], [""], ["0.5.1"]]),
+).map(lambda drawn: ",".join(["0", *drawn[0], *drawn[1]]))
+INPUTS = st.sampled_from(["no/such/series.json", os.devnull, "."])
+
+
+def optional(flag, values):
+    # the flag with a drawn value two times in five, or nothing
+    return st.sampled_from([False] * 3 + [True] * 2).flatmap(
+        lambda given: values.map(lambda value: [flag, value]) if given else st.just([]))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["invert", "verify", "partitions", "bell"] * 3 + ["bogus"]))
+    argv = [command]
+    if command == "invert":
+        source = draw(st.sampled_from(["--coeffs"] * 6 + ["--input", "both", "neither"]))
+        order = draw(SIZES) if draw(st.sampled_from([True] * 9 + [False])) else None
+        flags = [st.just([] if order is None else ["--order", order])]
+        if source in ("--coeffs", "both"):
+            flags.append(COEFFS.map(lambda coeffs: ["--coeffs", coeffs]))
+        if source in ("--input", "both"):
+            flags.append(INPUTS.map(lambda path: ["--input", path]))
+        flags += [optional("--method", st.sampled_from([*cli.INVERSE_METHODS, "all"] * 2 + ["x"])),
+                  optional("--convention", st.sampled_from(["egf", "ogf"] * 3 + ["x"]))]
+    elif command == "verify":
+        suite = draw(st.sampled_from([*verify_module.SUITES] * 2 + ["bogus"]))
+        argv.append(suite)
+        # each flag the suite reads is given often, each other flag seldom
+        reads = verify_module.SUITES.get(suite, ({},))[0]
+        flags = [optional(f"--{flag}", SIZES) if flag in reads else
+                 st.sampled_from([[]] * 9 + [[f"--{flag}", "1"]])
+                 for flag in ("trials", "n", "degree", "m", "order")]
+        flags.append(optional("--seed", SEEDS))
+    else:
+        argv.append(draw(SIZES))
+        flags = []
+    flags += [optional("--format", FORMATS), st.sampled_from([[]] * 19 + [["--bogus", "1"]])]
+    for pair in draw(st.permutations(flags)):
+        argv += draw(pair)
+    return argv
+
+
+class TestArgvContract:
+    @given(argvs())
+    @example(["invert", "--coeffs", "0,1,1/2,-1,2", "--order", "3", "--format", "json"])
+    @example(["invert", "--order", "2", "--method", "operator", "--convention", "ogf",
+              "--coeffs", "0,2,1,\u0663"])
+    @settings(max_examples=300, deadline=None)
+    def test_every_argv_exits_0_1_or_2_and_a_refusal_prints_only_its_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert "error: " in err.getvalue().splitlines()[-1], argv
 
 
 def modules_after(code):

@@ -362,10 +362,12 @@ NOT_INVERTIBLE = {
     "too-short": (EgfSeries([0, 1]), "input series must be valid to order [23], has 1"),
 }
 
-# each leaked AttributeError: 'int' object has no attribute 'order'
+# each leaked AttributeError: 'int' object has no attribute 'order' (or 'coeffs')
 NOT_A_SERIES = {
     **{entry: lambda call=call: call(5, 5) for entry, call in TAKES_INVERTIBLE.items()},
     "operator_iterate_start": lambda: operator_iterate(x_exp_minus_x(3), 5, 0),
+    "to_json_dict": lambda: to_json_dict(5),
+    "agrees_with": lambda: EgfSeries([0, 1]).agrees_with(5),
 }
 
 
@@ -500,6 +502,21 @@ class TestInverseMethods:
         for order in (0, -1):
             with pytest.raises(ValueError, match="order must be >= 1"):
                 INVERSE_METHODS[name](x_exp_minus_x(6), order)
+
+    @pytest.mark.parametrize("name", ["classical", "operator", "newton"])
+    def test_reads_f_only_through_the_inverse_order(self, name):
+        # the shared contract asks for f valid to order + 1, but b_1 .. b_N depend on
+        # a_1 .. a_N alone, and these three methods read no further: coefficient N + 1
+        # here refuses every attribute read, so one read of it fails the call
+        class Unreadable:
+            def __getattribute__(self, attr):
+                raise AssertionError(f"coefficient N + 1 was read (.{attr})")
+
+        order = 8
+        f = EgfSeries([0, Fraction(-3, 7), Fraction(1, 2), 0, 5, Fraction(2, 9), 1, -2, 4, 3])
+        unreadable = series.EgfSeries._of([*f.coeffs[: order + 1], Unreadable()])
+        method = INVERSE_METHODS[name]
+        assert method(unreadable, order) == method(f, order)
 
     def test_log_form_terms_keeps_order_zero(self):
         assert log_form_terms(x_exp_minus_x(6), 0) == EgfSeries([1])

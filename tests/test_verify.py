@@ -18,6 +18,8 @@ from opseries import (
     VerifyReport,
     bell_eval_bullet,
     classical_inverse,
+    egf_to_ogf,
+    ogf_to_egf,
     power_diamond,
     random_diffop,
     random_invertible_series,
@@ -579,6 +581,36 @@ class TestTrialCount:
         message = re.escape(f"trials must be at least 1, got {trials!r}")
         with pytest.raises(ValueError, match=message):
             checker(RandomSpec(seed=1), trials)
+
+
+# each leaked Python's own error: an AttributeError ('seed', 'n', 'is_first_order') or
+# "'int' object is not iterable"
+NOT_AN_OPERAND = {
+    "random_vector_field": (lambda: random_vector_field(5), "expects a RandomSpec, got int"),
+    "random_diffop": (lambda: random_diffop(5), "expects a RandomSpec, got int"),
+    "random_op_list": (lambda: random_op_list(3, 2), "expects a RandomSpec, got int"),
+    "random_invertible_series": (lambda: random_invertible_series(3, 2),
+                                 "expects a RandomSpec, got int"),
+    "verify_product_identities": (lambda: verify_product_identities(5, 1),
+                                  "expects a RandomSpec, got int"),
+    "verify_composition_split": (lambda: verify_composition_split(5, 1),
+                                 "expects a RandomSpec, got int"),
+    "verify_exp_identity": (lambda: verify_exp_identity(5, 2), "expects a DiffOp, got int"),
+    "verify_partition_expansion": (lambda: verify_partition_expansion(5),
+                                   "operator list must be a non-empty sequence"),
+    "ogf_to_egf": (lambda: ogf_to_egf(5), "coefficients must be a sequence of scalars"),
+    "egf_to_ogf": (lambda: egf_to_ogf(5), "coefficients must be a sequence of scalars"),
+}
+
+
+class TestOperandContracts:
+    @pytest.mark.parametrize("entry", list(NOT_AN_OPERAND))
+    def test_a_wrong_operand_is_refused_in_the_package_words(self, entry):
+        call, contract = NOT_AN_OPERAND[entry]
+        with pytest.raises((TypeError, ValueError), match=contract) as info:
+            call()
+        assert not re.search("has no attribute|is not iterable|cannot be interpreted",
+                             str(info.value))
 
 
 class TestRunSuite:

@@ -270,6 +270,14 @@ MUTANTS = (
         "c = a[0] or d",
         "c = a[0] or 1",
     ),
+    Mutant(
+        # same output: b_1 .. b_N never read coefficient N + 1 of f, so only the read
+        # bound (test_reads_f_only_through_the_inverse_order) sees it
+        "operator_inverse iterates from 1/f' of the whole f, reading coefficient N + 1",
+        "src/opseries/series.py",
+        "_iterates(f.truncate(order))",
+        "_iterates(f)",
+    ),
 )
 
 # same output as the source, so only a call-structure or cost test could see them
