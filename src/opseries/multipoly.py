@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import sys
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping
@@ -150,10 +151,22 @@ def _scalar(c: object) -> Fraction:
         return c
     if isinstance(c, (int, str)) and not isinstance(c, bool):
         try:
+            if isinstance(c, str):
+                _check_exponent(c)
             return Fraction(c)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f'bad coefficient {c!r}: need an int, Fraction or "p/q" string')
+
+
+def _check_exponent(text: str) -> None:
+    # Fraction("1e<k>") builds 10**k before anyone reads it, at a cost that grows with k, so
+    # |k| is bounded by the digit limit that int puts on a string (0, or an older Python
+    # without the limit: unbounded, as for int); a ValueError here is a bad coefficient
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    _, marker, exponent = text.lower().rpartition("e")
+    if marker and limit and abs(int(exponent)) > limit:
+        raise ValueError(f"decimal exponent {exponent.strip()} lies beyond +-{limit}")
 
 
 def _check_int(value: object, least: float, contract: str, most: float = math.inf) -> int:

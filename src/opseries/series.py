@@ -15,10 +15,14 @@ x is scaled by ``c = A_0`` (by ``d`` for ``exp``, where ``A_0 = 0``), the
 scaled coefficients ``A_k c^(k-1)`` are integers with ``den_0 = 1``, so no
 step divides, and output coefficient ``m`` comes back as one reduced
 ``Fraction`` over a power of ``c``.  ``verify`` runs the same two
-recurrences over the bullet ring of operators.  Products and the operator
-iterates still run on ``Fraction`` coefficients.  Every series the package
-computes is built by the private ``EgfSeries._of``, which skips the public
-constructor's per-coefficient checks.
+recurrences over the bullet ring of operators.  Products, and with them the
+log form's operator iterates (``_iterates``), still run on ``Fraction``
+coefficients: integer iterates would speed up ``log_form_terms`` too, but
+the benchmark's untimed exact output gate on the log-form workload would
+then stretch its run past the time limit, which waits on a change to that
+gate (ROADMAP item 2).  Every series the package computes is built by the
+private ``EgfSeries._of``, which skips the public constructor's
+per-coefficient checks.
 
 The three cross-checks of the log form also run over Python ints, each with
 its inputs over one common denominator, and form one reduced ``Fraction`` per
@@ -38,7 +42,8 @@ constant term and invertible linear coefficient:
   of the n-th power of ``x/f``, formed over integers by Miller's recurrence
   ``W P' = n W' P`` for ``P = W^n``;
 * :func:`operator_inverse` -- iterate ``s -> (1/f') * s'`` starting from
-  ``1/f'`` of ``f`` truncated at the inverse order, and collect constant terms;
+  ``1/f'`` of ``f`` truncated at the inverse order, over integer numerators,
+  and collect constant terms;
 * :func:`log_form_inverse` -- iterate the same operator starting from
   ``e^x``, then take the log of the collected constant-term series;
 * :func:`newton_inverse` -- triangular coefficient-by-coefficient solve
@@ -423,12 +428,26 @@ def operator_inverse(f: EgfSeries, order: int) -> EgfSeries:
     ``(1/f') d/dx`` to ``1/f'``, so iterate ``k`` is read only through order
     ``order - 1 - k``: the iterates start from ``1/f'`` of ``f`` truncated at
     ``order``, and the method reads ``f`` only through order ``order``.
-    About ``N^3/6`` multiply-adds at ``N = order``.  Needs ``f`` valid to
-    ``order + 1``, the contract the four methods share.
+    They run over integers: with ``1/f' = W/d`` over one denominator,
+    iterate ``k`` is ``S_k / d^(k+1)`` with ``S_0 = W`` and
+    ``S_(k+1) = W S_k'``, the binomial convolution
+    ``S_(k+1),m = sum_j C(m,j) W_j S_k,(m-j+1)``, and ``b_(k+1) = S_k,0 /
+    d^(k+1)``.  No series product is taken, so this shares no iterate code
+    with :func:`log_form_terms`.  About ``N^3/6`` integer multiply-adds at
+    ``N = order``.  Needs ``f`` valid to ``order + 1``, the contract the
+    four methods share.
     """
     _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order + 1)
-    return EgfSeries._of([_ZERO] + [s[0] for s in islice(_iterates(f.truncate(order)), order)])
+    w, d = _over_lcm(f.truncate(order).derivative().reciprocal().coeffs)  # valid to order - 1
+    weights = [[math.comb(m, j) * w[j] for j in range(m + 1)] for m in range(order - 1)]
+    out = [_ZERO]
+    s, d_pow = w, d  # S_0 over d^1
+    for _ in range(order):
+        out.append(Fraction(s[0], d_pow))
+        s = [sum(map(operator.mul, weights[m], reversed(s[1 : m + 2]))) for m in range(len(s) - 1)]
+        d_pow *= d
+    return EgfSeries._of(out)
 
 
 def log_form_terms(f: EgfSeries, order: int) -> EgfSeries:

@@ -435,7 +435,7 @@ def run_suite(
     and ``degree``.  A given flag outside the row is refused before any
     value is checked; an unset one in it takes the row's value.
     """
-    if name not in SUITES:
+    if not isinstance(name, str) or name not in SUITES:  # a list name is unhashable
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     reads, run = SUITES[name]
     given = {"trials": trials, "n": n, "degree": degree, "m": m, "order": order}

@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
@@ -148,6 +149,16 @@ class TestInvert:
     def test_bad_coefficients_exit_2(self, capsys):
         code, _, err = run(["invert", "--order", "2", "--coeffs", "0,one,2"], capsys)
         assert code == 2
+
+    def test_a_huge_decimal_exponent_exits_2_at_once(self, capsys):
+        # Fraction would build 10**3000000 although the order-1 inverse never reads a_2
+        start = time.perf_counter()
+        code, out, err = run(
+            ["invert", "--coeffs", "0,1,1e3000000", "--order", "1", "--method", "newton"], capsys
+        )
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "1e3000000" in err
 
     @pytest.mark.parametrize("method", ["log", "all"])
     def test_order_zero_exits_2(self, capsys, method):

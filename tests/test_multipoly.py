@@ -1,6 +1,7 @@
 """Ring arithmetic and partial derivatives of sparse rational polynomials."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,23 @@ class TestBoundary:
             flag * operand
         assert operand.__mul__(0.5) is NotImplemented
         assert operand.__rmul__(0.5) is NotImplemented
+
+    def test_exponent_notation_is_held_to_the_int_digit_limit(self):
+        # Fraction("1e<k>") builds 10**k before any method reads it, so |k| is refused
+        # past the digit limit Python puts on an int string, as int("1" * (limit + 1)) is
+        limit = sys.get_int_max_str_digits()
+        assert EgfSeries([0, 1, "1e3", "-15E-1"]).coeffs[2:] == (1000, Fraction(-3, 2))
+        assert EgfSeries([0, f"1e{limit}", f"1e-{limit}"]).coeffs[1:] == (
+            10**limit, Fraction(1, 10**limit))
+        for bad in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e1000000"):
+            with pytest.raises(ValueError, match=r"bad coefficient .*\"p/q\" string"):
+                EgfSeries([0, 1, bad])
+            with pytest.raises(ValueError, match="bad coefficient"):
+                MultiPoly.const(1, bad)
+
+    def test_a_digit_limit_of_zero_leaves_the_exponent_unbounded(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert EgfSeries([0, "1e5000"]).coeffs[1] == 10**5000
 
     def test_a_fraction_coefficient_is_kept_as_it_is(self):
         # a Fraction is immutable and reduced, so a computed series is not rebuilt

@@ -1,5 +1,6 @@
 """Behaviour of the identity-verification suites and their reports."""
 
+import inspect
 import json
 import operator
 import re
@@ -20,6 +21,7 @@ from opseries import (
     classical_inverse,
     egf_to_ogf,
     ogf_to_egf,
+    operator_inverse,
     power_diamond,
     random_diffop,
     random_invertible_series,
@@ -36,6 +38,7 @@ from opseries import (
     verify_product_identities,
     verify_stirling_power,
 )
+import opseries
 import opseries.combinat as combinat_module
 import opseries.series as series_module
 import opseries.verify as verify_module
@@ -284,6 +287,16 @@ class TestSuites:
                  for name in ("__mul__", "__rmul__", "compose", "exp", "ln", "reciprocal")}
         assert classical_inverse(EgfSeries([0, 2, -1, 1, 0, 3, 1]), 5)[1] == Fraction(1, 2)
         assert {name: len(c) for name, c in calls.items() if c} == {"reciprocal": 1}
+
+    def test_operator_inverse_forms_no_series_product_and_one_reciprocal(self, monkeypatch):
+        # the iterates run over integer numerators: the one series operation is 1/f',
+        # and the log form's _iterates is never called, so the two forms share no iterate
+        calls = {name: count_calls(monkeypatch, EgfSeries, name)
+                 for name in ("__mul__", "__rmul__", "compose", "exp", "ln", "reciprocal")}
+        iterates = count_calls(monkeypatch, series_module, "_iterates")
+        assert operator_inverse(EgfSeries([0, 2, -1, 1, 0, 3, 1]), 5)[1] == Fraction(1, 2)
+        assert {name: len(c) for name, c in calls.items() if c} == {"reciprocal": 1}
+        assert iterates == []
 
     @pytest.mark.parametrize(
         "check", [lambda: verify_exp_identity_xd(5).passed], ids=["exp_identity_xd"],
@@ -611,6 +624,59 @@ class TestOperandContracts:
             call()
         assert not re.search("has no attribute|is not iterable|cannot be interpreted",
                              str(info.value))
+
+
+# Python's own wording for a wrong type met deep inside, not at an entry point
+PYTHON_WORDS = re.compile(
+    "has no attribute|is not iterable|cannot be interpreted|unhashable|not subscriptable|"
+    "unsupported operand|not callable|has no len|positional argument|not supported between"
+)
+WRONG_TYPES = (None, 1.5, "x", [1], object(), -1)
+# records that store their fields as given, and a type alias
+UNCHECKED = {"BellPoly", "VerifyReport", "MultiIndex"}
+
+
+def library_callables():
+    # every callable of opseries.__all__ and every public method of a polynomial, an
+    # operator and a series that takes an argument, with its required positional count
+    samples = [MultiPoly.variable(2, 0), unit_op(1), EgfSeries([0, 1, 2])]
+    found = [(name, getattr(opseries, name)) for name in opseries.__all__
+             if name not in UNCHECKED and callable(getattr(opseries, name))]
+    found += [(f"{type(x).__name__}.{name}", getattr(x, name)) for x in samples
+              for name in dir(x) if not name.startswith("_") or name == "__getitem__"]
+    out = []
+    for name, call in found:
+        if not callable(call):
+            continue
+        needed = [p for p in inspect.signature(call).parameters.values()
+                  if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD]
+        if needed:
+            out.append(pytest.param(call, len(needed), id=name))
+    return out
+
+
+class TestLibraryContract:
+    @pytest.mark.parametrize("call, arity", library_callables())
+    def test_a_wrong_type_is_refused_in_the_package_words(self, call, arity):
+        errors = (ValueError, TypeError)
+        if call.__name__ == "__getitem__":  # the sequence protocol: out of range, IndexError
+            errors += (IndexError,)
+        refused = 0
+        for value in WRONG_TYPES:
+            try:
+                call(*[value] * arity)
+            except errors as exc:
+                refused += 1
+                # a message may quote Python's text only after naming its own contract,
+                # as from_json_dict does, raising from the original error
+                assert exc.__cause__ is not None or not PYTHON_WORDS.search(str(exc)), value
+        assert refused
+
+    def test_a_non_str_suite_name_is_an_unknown_suite(self):
+        # a list name leaked "unhashable type: 'list'" from the SUITES lookup
+        for name in ([1], 1, None):
+            with pytest.raises(ValueError, match=r"^unknown suite .*; choose from prop1, "):
+                run_suite(name)
 
 
 class TestRunSuite:

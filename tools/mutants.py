@@ -273,10 +273,22 @@ MUTANTS = (
     Mutant(
         # same output: b_1 .. b_N never read coefficient N + 1 of f, so only the read
         # bound (test_reads_f_only_through_the_inverse_order) sees it
-        "operator_inverse iterates from 1/f' of the whole f, reading coefficient N + 1",
+        "operator_inverse forms 1/f' of the whole f, reading coefficient N + 1",
         "src/opseries/series.py",
-        "_iterates(f.truncate(order))",
-        "_iterates(f)",
+        "f.truncate(order).derivative()",
+        "f.derivative()",
+    ),
+    Mutant(
+        "operator_inverse puts iterate k over d^k instead of d^(k+1)",
+        "src/opseries/series.py",
+        "s, d_pow = w, d",
+        "s, d_pow = w, 1",
+    ),
+    Mutant(
+        "operator_inverse convolves W with S_k' without the binomial C(m, j)",
+        "src/opseries/series.py",
+        "math.comb(m, j) * w[j]",
+        "w[j]",
     ),
 )
 
