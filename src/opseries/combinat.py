@@ -29,7 +29,7 @@ from .diffop import (
     unit_op,
 )
 from .multipoly import (
-    _check_int, _graded_lex, _join_signed, _monomial_str, _read_only, _term,
+    _check_int, _graded_lex, _items, _join_signed, _monomial_str, _read_only, _term,
 )
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
@@ -224,13 +224,21 @@ class BellPoly:
     The coefficient of ``x_1^{l_1} ... x_m^{l_m}`` counts the set
     partitions with that block-size signature; the coefficients sum to
     the Bell number B(m).  Compared by value; mutable, so not hashable.
+    The constructor checks its degree and keeps a checked copy of ``terms``.
     """
 
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms: dict[IntPartition, int] | None = None):
+        _check_int(m, 1, "degree must be a positive integer")
         self.m = m
-        self.terms = {} if terms is None else terms
+        self.terms = {}
+        for part, count in _items(terms, "integer partitions"):
+            if not isinstance(part, IntPartition):
+                raise ValueError(f"Bell polynomial terms are keyed by IntPartition, got {part!r}")
+            if part.m != m:
+                raise ValueError(f"a partition of {part.m} in a Bell polynomial of degree {m}")
+            self.terms[part] = _check_int(count, -math.inf, "each term count must be an integer")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BellPoly):

@@ -6,34 +6,32 @@ guaranteed correct and is tracked explicitly through every operation:
 differentiation drops it by one, binary operations take the minimum,
 and nothing is ever silently zero-padded.
 
-Products use the binomial convolution ``(fg)_m = sum_k C(m,k) f_k g_{m-k}``.
-``exp`` is the triangular recurrence of the defining ODE ``g' = f'g``; one
-triangular solve of ``den * q = num`` serves ``reciprocal`` (a constant
-numerator) and ``ln`` (``q = f'/f``, then a shift).  All three run over
-Python ints: with the coefficients ``A_k/d`` over one common denominator,
-x is scaled by ``c = A_0`` (by ``d`` for ``exp``, where ``A_0 = 0``), the
-scaled coefficients ``A_k c^(k-1)`` are integers with ``den_0 = 1``, so no
-step divides, and output coefficient ``m`` comes back as one reduced
-``Fraction`` over a power of ``c``.  ``verify`` runs the same two
-recurrences over the bullet ring of operators.  Products, and with them the
-log form's operator iterates (``_iterates``), still run on ``Fraction``
-coefficients: integer iterates would speed up ``log_form_terms`` too, but
-the benchmark's untimed exact output gate on the log-form workload would
-then stretch its run past the time limit, which waits on a change to that
-gate (ROADMAP item 2).  Every series the package computes is built by the
-private ``EgfSeries._of``, which skips the public constructor's
-per-coefficient checks.
+Every binomial convolution ``(fg)_m = sum_k C(m,k) f_k g_{m-k}`` runs
+through one ring-generic kernel, ``_rows`` (the rows ``C(m,k) f_k`` of one
+operand) and ``_convolve`` (the product through them): the series product,
+the integer operator iterates and the two triangular solves, ``exp`` by the
+recurrence of ``g' = f'g`` and ``den * q = num`` for ``reciprocal`` and
+``ln`` (``q = f'/f``, then a shift).  The solves run over Python ints: with
+the coefficients ``A_k/d`` over one denominator, x is scaled by ``c = A_0``
+(by ``d`` for ``exp``, where ``A_0 = 0``), so the scaled ``A_k c^(k-1)`` are
+integers with ``den_0 = 1``, no step divides, and coefficient ``m`` comes
+back as one reduced ``Fraction`` over a power of ``c``.  ``verify`` runs
+the same solves over the bullet ring of operators.  The log form's iterates
+(``_iterates``) still take series products on ``Fraction``s: over ints, the
+benchmark's untimed exact output gate on the log-form workload would stretch
+its run past the time limit (ROADMAP item 2).  Every computed series is
+built by ``EgfSeries._of``, which skips the constructor's checks.
 
-The three cross-checks of the log form also run over Python ints, each with
-its inputs over one common denominator, and form one reduced ``Fraction`` per
-output coefficient.  Composition ``f(g)`` and the Newton solve share one
-table of the partial Bell polynomials ``B_{n,k}(b) = [g^k/k!]_n``, which
-have integer coefficients (Comtet, *Advanced Combinatorics*, 3.3).  It is
-extended one column at a time: column ``n`` reads ``b_n`` only at ``k = 1``,
-otherwise ``b_1 .. b_{n-1}`` and the earlier columns, and order ``N`` costs
-about ``N^3/6`` multiply-adds.  The classical method forms the powers of
-``x/f`` by J.C.P. Miller's recurrence instead, so no fault in that table can
-pass both it and Newton.
+The three cross-checks of the log form run over ints too, and keep their
+own binomial weights, so no fault in the kernel can pass both them and the
+operator forms.  Composition ``f(g)`` and the Newton solve share one table
+of the partial Bell polynomials ``B_{n,k}(b) = [g^k/k!]_n``, which have
+integer coefficients (Comtet, *Advanced Combinatorics*, 3.3), extended one
+column at a time: column ``n`` reads ``b_n`` only at ``k = 1``, otherwise
+``b_1 .. b_{n-1}`` and the earlier columns, about ``N^3/6`` multiply-adds
+at order ``N``.  The classical method forms the powers of ``x/f`` by
+J.C.P. Miller's recurrence instead, so no fault in that table can pass
+both it and Newton.
 
 Four compositional-inverse algorithms are provided for series with zero
 constant term and invertible linear coefficient:
@@ -62,6 +60,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -75,16 +74,28 @@ _INVERSE_ORDER = "inverse order must be >= 1"
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
+def _rows(a: Sequence[T], count: int) -> Iterator[list[T]]:
+    # rows m < count of the binomial convolution with a, [C(m, j) a_j for j = 0..m], lazily
+    for m in range(count):
+        yield [math.comb(m, j) * a[j] for j in range(m + 1)]
+
+
+def _convolve(rows: Iterable[list[T]], b: Sequence[T]) -> list[T]:
+    # the binomial product sum_j C(m, j) a_j b_(m-j) over the rows of a, through the shorter
+    # operand; terms are added with no int start, so any ring with * and + serves
+    return [reduce(operator.add, map(operator.mul, row, reversed(b[: m + 1])))
+            for m, row in zip(range(len(b)), rows)]
+
+
 def _exp_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], one: T) -> list[T]:
-    # exponential of a z-series with exponential coefficients, over any ring
-    # given by its product and one: g' = f'g, so
-    # g_{m+1} = sum_k C(m,k) f_{k+1} g_{m-k}, whose k = m term is f_{m+1}
-    # (g_0 = one) and starts the sum; coeffs[0] must be zero
+    # exponential of a z-series, over any ring given by its product and one: g' = f'g, so
+    # g_{m+1} is row m of f' against g_m .. g_0, whose last term f_{m+1} (g_0 = one)
+    # starts the sum; coeffs[0] must be zero
     out = [one]
-    for m in range(len(coeffs) - 1):
-        term = coeffs[m + 1]
-        for k in range(m):
-            term = term + math.comb(m, k) * mul(coeffs[k + 1], out[m - k])
+    for row in _rows(coeffs[1:], len(coeffs) - 1):
+        term = row[-1]
+        for k in range(len(row) - 1):
+            term = term + mul(row[k], out[-1 - k])
         out.append(term)
     return out
 
@@ -92,11 +103,11 @@ def _exp_recurrence(coeffs: Sequence[T], mul: Callable[[T, T], T], one: T) -> li
 def _quotient(num: Sequence[T], den: Sequence[T], mul: Callable[[T, T], T]) -> list[T]:
     # the q with den * q = num under the binomial convolution, over any ring
     # given by its product; den[0] must be the ring's one, so no step divides:
-    # q_m = num_m - sum_{k=1..m} C(m,k) den_k q_{m-k}, for m < len(num)
+    # q_m = num_m - (row m of den, but its unit term, against q_(m-1) .. q_0)
     out: list[T] = []
-    for m, term in enumerate(num):
-        for k in range(1, m + 1):
-            term = term - math.comb(m, k) * mul(den[k], out[m - k])
+    for term, row in zip(num, _rows(den, len(num))):
+        for k in range(1, len(row)):
+            term = term - mul(row[k], out[-k])
         out.append(term)
     return out
 
@@ -110,10 +121,9 @@ def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
 def _over_ints(
     coeffs: Sequence[Fraction], solve: Callable[[list[int], int], list[int]], shift: int = 0
 ) -> EgfSeries:
-    # the series whose coefficient m is solve(S, d)[m] / c^(m + shift), run over integers:
-    # with the coefficients A_k/d over one denominator and x scaled by c = A_0 (by d when
-    # A_0 = 0), S_k = A_k c^(k-1) are integers and S_0 is 1 (or 0), so a solve over S
-    # divides by nothing; newton_inverse scales its unknowns the same way
+    # the series whose coefficient m is solve(S, d)[m] / c^(m + shift): with x scaled by c
+    # (module docstring), S_k = A_k c^(k-1) are integers and S_0 is 1 (or 0), so a solve
+    # over S divides by nothing; newton_inverse scales its unknowns the same way
     a, d = _over_lcm(coeffs)
     c = a[0] or d
     powers = list(accumulate(repeat(c, len(a)), operator.mul, initial=1))  # c^0 .. c^(N+1)
@@ -136,7 +146,7 @@ def _bell_columns(b: Sequence[int], order: int) -> Iterator[list[int]]:
     # B_{n,k} = sum_i C(n-1,i) b_(i+1) B_(n-1-i,k-1), which divides by nothing.  Row 1
     # is b itself, so column n reads b_n only at k = 1, as the yielded col[1]: a caller
     # may write b_n after the n-th yield, as newton_inverse does.  About order^3/6
-    # multiply-adds.
+    # multiply-adds.  Its weights are its own, not _rows', so no kernel fault passes both.
     rows = [None, b] + [[0] * (order + 1) for _ in range(2, order + 1)]
     for n in range(1, order + 1):  # rows[k][m] = B_{m,k}, zero below m = k
         weights = [math.comb(n - 1, i) * b[i + 1] for i in range(n - 1)]
@@ -252,12 +262,7 @@ class EgfSeries:
             return EgfSeries._of(c * other for c in self._coeffs)
         if not isinstance(other, EgfSeries):
             return NotImplemented
-        upto = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        return EgfSeries._of(
-            sum(math.comb(m, k) * a[k] * b[m - k] for k in range(m + 1))
-            for m in range(upto + 1)
-        )
+        return EgfSeries._of(_convolve(_rows(self._coeffs, self.order + 1), other._coeffs))
 
     def __rmul__(self, other: Scalar) -> EgfSeries:
         if _is_scalar(other):
@@ -284,14 +289,12 @@ class EgfSeries:
     def compose(self, inner: EgfSeries) -> EgfSeries:
         """Substitute ``inner`` (which must vanish at 0) into this series.
 
-        Over integers: with this series' coefficients ``A_k/e`` and those of
-        ``inner`` ``N_m/d`` (each over its least common denominator), the
-        partial Bell polynomial ``B_{n,k}`` is homogeneous of degree ``k``, so
-        coefficient ``n`` of the result is
+        Over integers: with the coefficients ``A_k/e`` of this series and
+        ``N_m/d`` of ``inner``, each over its least common denominator,
+        ``B_{n,k}`` is homogeneous of degree ``k``, so coefficient ``n`` is
         ``sum_{k=1..n} A_k B_{n,k}(N) d^(n-k) / (e d^n)`` over the integer
-        table of :func:`_bell_columns`, one reduced ``Fraction`` per
-        coefficient; coefficient 0 is ``a_0``.  About ``N^3/6`` multiply-adds
-        at order ``N = min(self.order, inner.order)``.
+        table of :func:`_bell_columns`; coefficient 0 is ``a_0``.  About
+        ``N^3/6`` multiply-adds at order ``N = min(self.order, inner.order)``.
         """
         if not isinstance(inner, EgfSeries):
             raise TypeError("compose expects another series")
@@ -365,11 +368,10 @@ def _as_invertible(f: EgfSeries, needed: int = 1) -> None:
         raise ValueError(f"input series must be valid to order {needed}, has {f.order}")
 
 
-def _iterates(f: EgfSeries, start: EgfSeries | None = None) -> Iterator[EgfSeries]:
-    # start (default 1/f') and its images under s -> (1/f') * s', without end;
+def _iterates(f: EgfSeries, s: EgfSeries) -> Iterator[EgfSeries]:
+    # the start s and its images under s -> (1/f') * s', without end;
     # callers take as many as the start's order allows
     w = f.derivative().reciprocal()
-    s = w if start is None else start
     while True:
         yield s
         s = w * s.derivative()
@@ -386,7 +388,7 @@ def classical_inverse(f: EgfSeries, order: int) -> EgfSeries:
     J.C.P. Miller's recurrence ``W P' = n W' P`` (Knuth, TAOCP vol. 2,
     4.7), ``W_0 P_(k+1) = sum_j (n C(k,j) - C(k,j+1)) W_(j+1) P_(k-j)``,
     one exact division per coefficient, and ``b_n = P_(n-1) / d^n``.  This
-    is independent of :func:`_bell_columns`.  About ``N^3/3``
+    is independent of :func:`_bell_columns` and of ``_rows``.  About ``N^3/3``
     multiply-adds; needs ``f`` valid to ``order + 1``.
     """
     _check_int(order, 1, _INVERSE_ORDER)
@@ -428,24 +430,22 @@ def operator_inverse(f: EgfSeries, order: int) -> EgfSeries:
     ``(1/f') d/dx`` to ``1/f'``, so iterate ``k`` is read only through order
     ``order - 1 - k``: the iterates start from ``1/f'`` of ``f`` truncated at
     ``order``, and the method reads ``f`` only through order ``order``.
-    They run over integers: with ``1/f' = W/d`` over one denominator,
-    iterate ``k`` is ``S_k / d^(k+1)`` with ``S_0 = W`` and
-    ``S_(k+1) = W S_k'``, the binomial convolution
-    ``S_(k+1),m = sum_j C(m,j) W_j S_k,(m-j+1)``, and ``b_(k+1) = S_k,0 /
-    d^(k+1)``.  No series product is taken, so this shares no iterate code
-    with :func:`log_form_terms`.  About ``N^3/6`` integer multiply-adds at
-    ``N = order``.  Needs ``f`` valid to ``order + 1``, the contract the
-    four methods share.
+    They run over integers: with ``1/f' = W/d`` over one denominator, iterate
+    ``k`` is ``S_k / d^(k+1)`` with ``S_0 = W`` and ``S_(k+1) = W S_k'``, one
+    ``_convolve`` through the rows of ``W``, formed once, and ``b_(k+1) =
+    S_k,0 / d^(k+1)``.  About ``N^3/6`` integer multiply-adds at ``N =
+    order``.  Needs ``f`` valid to ``order + 1``, the contract the four
+    methods share.
     """
     _check_int(order, 1, _INVERSE_ORDER)
     _as_invertible(f, order + 1)
     w, d = _over_lcm(f.truncate(order).derivative().reciprocal().coeffs)  # valid to order - 1
-    weights = [[math.comb(m, j) * w[j] for j in range(m + 1)] for m in range(order - 1)]
+    rows = list(_rows(w, order - 1))  # formed once, read by every iterate
     out = [_ZERO]
     s, d_pow = w, d  # S_0 over d^1
     for _ in range(order):
         out.append(Fraction(s[0], d_pow))
-        s = [sum(map(operator.mul, weights[m], reversed(s[1 : m + 2]))) for m in range(len(s) - 1)]
+        s = _convolve(rows, s[1:])
         d_pow *= d
     return EgfSeries._of(out)
 

@@ -68,12 +68,20 @@ class RandomSpec:
 
 
 class VerifyReport:
-    """One checked identity: rendered sides, verdict, provenance."""
+    """One checked identity: rendered sides, verdict, provenance; its fields are checked."""
 
     __slots__ = ("theorem", "description", "left", "right", "passed", "elapsed")
 
     def __init__(self, theorem: str, description: str, left: str, right: str, passed: bool,
                  elapsed: float = 0.0):
+        texts = {"theorem": theorem, "description": description, "left": left, "right": right}
+        for field, text in texts.items():
+            if not isinstance(text, str):
+                raise TypeError(f"a report's {field} must be a str, got {type(text).__name__}")
+        if not isinstance(passed, bool):
+            raise TypeError(f"a report's verdict must be a bool, got {type(passed).__name__}")
+        if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)) or not elapsed >= 0:
+            raise ValueError(f"a report's elapsed time must be seconds >= 0, got {elapsed!r}")
         self.theorem = theorem
         self.description = description
         self.left = left

@@ -276,6 +276,25 @@ class TestRecordTypes:
         with pytest.raises(TypeError):
             hash(four)
 
+    def test_a_bell_polynomial_keeps_a_copy_of_its_terms(self):
+        terms = {IntPartition(2, (0, 1)): 1}
+        two = BellPoly(2, terms)
+        terms[IntPartition(2, (2, 0))] = 1
+        assert two.terms == {IntPartition(2, (0, 1)): 1}
+
+    @pytest.mark.parametrize("m, terms, message", [
+        # each of these was stored and leaked Python's own words on a later read
+        (3, 5, "terms must be a mapping from integer partitions to coefficients, got 5"),
+        (3, {1: 2}, "Bell polynomial terms are keyed by IntPartition, got 1"),
+        (3, {IntPartition(2, (0, 1)): 1}, "a partition of 2 in a Bell polynomial of degree 3"),
+        (2, {IntPartition(2, (0, 1)): "1"}, "each term count must be an integer, got '1'"),
+        (0, None, "degree must be a positive integer, got 0"),
+        ("3", None, "degree must be a positive integer, got '3'"),
+    ])
+    def test_a_bell_polynomial_refuses_a_wrong_field_in_the_package_words(self, m, terms, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BellPoly(m, terms)
+
 
 class TestPartitionOperator:
     """The bullet product over a partition's blocks validates them as a SetPartition."""

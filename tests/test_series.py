@@ -4,6 +4,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, islice, repeat
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from opseries import (
     EgfSeries,
     INVERSE_METHODS,
+    MultiPoly,
     classical_inverse,
     egf_to_ogf,
     from_json_dict,
@@ -33,10 +35,10 @@ COEFFS = st.sampled_from(
 
 
 def egf_mul_oracle(a, b):
-    """Binomial convolution written out independently on raw tuples."""
+    """Binomial convolution written out independently on raw tuples, over any ring."""
     upto = min(len(a), len(b)) - 1
     return [
-        sum(math.comb(m, k) * a[k] * b[m - k] for k in range(m + 1))
+        reduce(operator.add, (math.comb(m, k) * a[k] * b[m - k] for k in range(m + 1)))
         for m in range(upto + 1)
     ]
 
@@ -346,6 +348,58 @@ class TestSolvesOverIntegers:
         monkeypatch.setattr(series, "_scalar", lambda c: calls.append(c) or original(c))
         assert list(log_form_inverse(f, 20).coeffs[1:4]) == [1, 2, 9]
         assert calls == []
+
+
+# elements of three coefficient rings of the convolution kernel; a polynomial sum takes no
+# int start
+RING_ELEMENTS = {
+    "int": st.integers(-30, 30),
+    "Fraction": COEFFS,
+    "MultiPoly": st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), COEFFS,
+                                 max_size=3).map(lambda terms: MultiPoly(2, terms)),
+}
+
+
+class TestConvolutionKernel:
+    """series._rows and series._convolve over every ring with * and +."""
+
+    @pytest.mark.parametrize("ring", RING_ELEMENTS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_convolve_equals_the_binomial_sum(self, ring, data):
+        elements = st.lists(RING_ELEMENTS[ring], min_size=1, max_size=8)
+        a, b = data.draw(elements), data.draw(elements)
+        n = data.draw(st.integers(0, len(a)))
+        rows = list(series._rows(a, n))
+        assert [len(row) for row in rows] == list(range(1, n + 1))
+        assert series._convolve(rows, b) == egf_mul_oracle(a[:n], b)
+
+    @given(st.lists(RING_ELEMENTS["MultiPoly"], min_size=1, max_size=6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_quotient_over_polynomials_inverts_the_product(self, tail, data):
+        den = [MultiPoly.const(2, 1), *tail]
+        num = data.draw(st.lists(RING_ELEMENTS["MultiPoly"], min_size=1, max_size=len(den)))
+        assert egf_mul_oracle(den, series._quotient(num, den, operator.mul)) == num
+
+    def test_convolve_pulls_one_row_per_coefficient_it_forms(self):
+        pulled = []
+
+        def rows():
+            for row in series._rows([1, 2, 3, 4, 5, 6], 6):
+                pulled.append(row)
+                yield row
+
+        assert series._convolve(rows(), [1, -1, 2]) == egf_mul_oracle([1, 2, 3], [1, -1, 2])
+        assert len(pulled) == 3
+
+    def test_operator_inverse_forms_its_rows_once(self, monkeypatch):
+        seen = []
+        convolve = series._convolve
+        monkeypatch.setattr(series, "_convolve",
+                            lambda rows, b: seen.append(rows) or convolve(rows, b))
+        operator_inverse(x_exp_minus_x(9), 8)
+        assert len(seen) == 8 and isinstance(seen[0], list)
+        assert all(rows is seen[0] for rows in seen)
 
 
 # every public function that takes an invertible series, called as (f, order)

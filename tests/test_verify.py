@@ -196,8 +196,20 @@ class TestRandomGenerators:
         report = VerifyReport("t", "d", "l", "r", True)
         assert report.elapsed == 0.0
         assert VerifyReport("t", "d", "l", "r", False, elapsed=1.5).elapsed == 1.5
+        assert VerifyReport("t", "d", "l", "r", False, elapsed=2).elapsed == 2
         assert report.as_dict() == {
             "theorem": "t", "description": "d", "left": "l", "right": "r", "passed": True}
+
+    @pytest.mark.parametrize("fields, error, message", [
+        (("t", "d", 5, "r", True), TypeError, "a report's left must be a str, got int$"),
+        ((None, "d", "l", "r", True), TypeError, "a report's theorem must be a str, got NoneType"),
+        (("t", "d", "l", "r", 1), TypeError, "a report's verdict must be a bool, got int$"),
+        *[(("t", "d", "l", "r", True, elapsed), ValueError, "elapsed time must be seconds >= 0")
+          for elapsed in (-0.5, float("nan"), True)],
+    ])
+    def test_report_refuses_a_wrong_field_in_the_package_words(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            VerifyReport(*fields)
 
     def test_invertible_series_shape(self):
         for seed in range(10):
@@ -632,8 +644,8 @@ PYTHON_WORDS = re.compile(
     "unsupported operand|not callable|has no len|positional argument|not supported between"
 )
 WRONG_TYPES = (None, 1.5, "x", [1], object(), -1)
-# records that store their fields as given, and a type alias
-UNCHECKED = {"BellPoly", "VerifyReport", "MultiIndex"}
+# a type alias, which checks nothing
+UNCHECKED = {"MultiIndex"}
 
 
 def library_callables():

@@ -285,10 +285,29 @@ MUTANTS = (
         "s, d_pow = w, 1",
     ),
     Mutant(
-        "operator_inverse convolves W with S_k' without the binomial C(m, j)",
+        "the convolution rows without the binomial C(m, j): the product, both solves and "
+        "the operator iterates lose their weights",
         "src/opseries/series.py",
-        "math.comb(m, j) * w[j]",
-        "w[j]",
+        "math.comb(m, j) * a[j]",
+        "a[j]",
+    ),
+    Mutant(
+        "row m of the convolution weighs a_j by C(m + 1, j) instead of C(m, j)",
+        "src/opseries/series.py",
+        "math.comb(m, j) * a[j]",
+        "math.comb(m + 1, j) * a[j]",
+    ),
+    Mutant(
+        "the convolution pairs a_j with b_j instead of b_(m-j)",
+        "src/opseries/series.py",
+        "reversed(b[: m + 1])",
+        "b[: m + 1]",
+    ),
+    Mutant(
+        "the exp recurrence pairs row m of f' with g_(m+1-k) instead of g_(m-k)",
+        "src/opseries/series.py",
+        "mul(row[k], out[-1 - k])",
+        "mul(row[k], out[-k])",
     ),
 )
 
