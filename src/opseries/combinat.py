@@ -25,11 +25,11 @@ from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 from .diffop import (
-    DiffOp, _block, _check_indices, _check_op_list, _check_operand, _circ_powers, _sum,
+    DiffOp, _block, _check_first_order, _check_indices, _check_op_list, _circ_powers, _sum,
     unit_op,
 )
 from .multipoly import (
-    _check_int, _graded_lex, _items, _join_signed, _monomial_str, _read_only, _term,
+    _Record, _check_int, _check_sequence, _graded_lex, _items, _join_signed, _monomial_str, _term,
 )
 
 MAX_SET_PARTITION_SIZE = 12  # B(12) = 4,213,597 is the practical exhaustive bound
@@ -40,7 +40,7 @@ MAX_INT_PARTITION_SIZE = 40  # p(40) = 37,338; p(100) = 190,569,292 is out of re
 MAX_BELL_BULLETS = 1500
 
 
-class SetPartition:
+class SetPartition(_Record):
     """Partition of ``{1..m}`` into disjoint non-empty blocks.
 
     Canonical form: elements ascending within a block, blocks sorted by
@@ -53,17 +53,12 @@ class SetPartition:
 
     def __init__(self, m: int, blocks: Iterable[Iterable[int]]):
         _check_int(m, 1, "ground set size must be a positive integer")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", self._canonical(m, blocks))
+        super().__init__(m, self._canonical(m, blocks))
 
     @staticmethod
     def _canonical(m: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
         # the constructor's checks: the blocks partition 1..m; returns them in canonical form
-        try:
-            raw = tuple(blocks)
-        except TypeError:
-            msg = f"partition must be an iterable of blocks, got {blocks!r}"
-            raise ValueError(msg) from None
+        raw = _check_sequence(blocks, "partition must be an iterable of blocks", ordered=False)
         canon = [tuple(sorted(_check_indices(b))) for b in raw]
         seen: set[int] = set()
         for block in canon:
@@ -83,19 +78,9 @@ class SetPartition:
     def _unchecked(cls, m: int, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
         # blocks that are valid and canonical by construction: skip _canonical's checks
         out = object.__new__(cls)
-        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "m", m)  # not through _Record.__init__: B(m) of these are made
         object.__setattr__(out, "blocks", blocks)
         return out
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetPartition):
-            return NotImplemented
-        return self.m == other.m and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.blocks))
 
     def signature(self) -> IntPartition:
         """Block-size signature as an integer partition in multiplicity form."""
@@ -109,7 +94,7 @@ class SetPartition:
         return "-".join(sep.join(str(e) for e in block) for block in self.blocks)
 
 
-class IntPartition:
+class IntPartition(_Record):
     """Integer partition of ``m`` in multiplicity form: l_i parts of size i.
 
     Immutable, compared and hashed by value: the key type of ``BellPoly.terms``.
@@ -126,18 +111,7 @@ class IntPartition:
             raise ValueError(f"need {m} multiplicities, got {mults}")
         if sum((i + 1) * l for i, l in enumerate(mults)) != m:
             raise ValueError(f"multiplicities {mults} do not sum to {m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "multiplicities", mults)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPartition):
-            return NotImplemented
-        return self.m == other.m and self.multiplicities == other.multiplicities
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.multiplicities))
+        super().__init__(m, mults)
 
     @property
     def length(self) -> int:
@@ -152,13 +126,10 @@ class IntPartition:
 
 def _multiplicities(mults: Iterable[int]) -> tuple[int, ...]:
     # the block-size multiplicities l_1, l_2, ... of a partition, each a count
-    contract = "each multiplicity must be a non-negative integer"
-    try:
-        mults = iter(mults)
-    except TypeError:
-        msg = f"multiplicities must be a sequence of counts l_1, l_2, ..., got {mults!r}"
-        raise ValueError(msg) from None
-    return tuple(_check_int(l, 0, contract) for l in mults)
+    mults = _check_sequence(mults, "multiplicities must be a sequence of counts l_1, l_2, ...")
+    for l in mults:
+        _check_int(l, 0, "each multiplicity must be a non-negative integer")
+    return mults
 
 
 def set_partitions(m: int) -> list[SetPartition]:
@@ -275,9 +246,7 @@ def bell_eval_bullet(m: int, op: DiffOp) -> DiffOp:
     ``multipoly._sum``.  ``m = 0`` gives the unit operator (empty product).
     """
     _check_int(m, 0, "degree must be a non-negative integer")
-    _check_operand(op, DiffOp, "bell_eval_bullet")
-    if not op.is_first_order():
-        raise ValueError("operator must be first order")
+    _check_first_order(op, "bell_eval_bullet expects a DiffOp")
     n = op.n
     if m == 0:
         return unit_op(n)

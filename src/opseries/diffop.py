@@ -93,6 +93,8 @@ from .multipoly import (
     _check_exponents,
     _check_int,
     _check_same_n,
+    _check_sequence,
+    _check_type,
     _graded_lex,
     _is_scalar,
     _items,
@@ -194,17 +196,14 @@ class DiffOp:
     @classmethod
     def single(cls, coeff: MultiPoly, beta: MultiIndex) -> DiffOp:
         """The generator ``coeff * d^beta``."""
-        _check_operand(coeff, MultiPoly, "single")
+        _check_type(coeff, MultiPoly, "single expects a MultiPoly")
         return cls(coeff.n, {_check_exponents(beta, coeff.n, "derivative multi-index"): coeff})
 
     @classmethod
-    def vector_field(cls, coeffs: Sequence[MultiPoly]) -> DiffOp:
+    def vector_field(cls, coeffs: Iterable[MultiPoly]) -> DiffOp:
         """First-order operator ``sum_j u_j d_j`` from its coefficient list."""
-        try:
-            n = len(coeffs)
-        except TypeError:
-            msg = f"vector_field expects a sequence of coefficients, got {coeffs!r}"
-            raise ValueError(msg) from None
+        coeffs = _check_sequence(coeffs, "vector_field expects a sequence of coefficients")
+        n = len(coeffs)
         terms: dict[MultiIndex, MultiPoly] = {}
         for j, u in enumerate(coeffs):
             terms[tuple(1 if i == j else 0 for i in range(n))] = u
@@ -282,7 +281,7 @@ class DiffOp:
 
     def diamond(self, other: DiffOp) -> DiffOp:
         """Operator composition (associative): the full Leibniz sum over gamma <= alpha."""
-        _check_operand(other, DiffOp, "diamond")
+        _check_type(other, DiffOp, "diamond expects a DiffOp")
         # g stops at other's largest exponent of each x (top), past which d_x^g(other) is 0
         n, mask = other._n, (1 << (W * other._n)) - 1
         top = (0,) * n
@@ -292,12 +291,12 @@ class DiffOp:
 
     def circ(self, other: DiffOp) -> DiffOp:
         """White product: the left derivative acts on the right coefficient only."""
-        _check_operand(other, DiffOp, "circ")
+        _check_type(other, DiffOp, "circ expects a DiffOp")
         return self._product(other, lambda alpha: (alpha,))
 
     def bullet(self, other: DiffOp) -> DiffOp:
         """Black product: coefficients multiply, derivative orders add (commutative)."""
-        _check_operand(other, DiffOp, "bullet")
+        _check_type(other, DiffOp, "bullet expects a DiffOp")
         _check_same_n(self._n, other._n)
         return DiffOp._of_symbol(self._n, self._sym * other._sym)
 
@@ -307,7 +306,7 @@ class DiffOp:
         Every product ``u_beta * d^beta(p)`` is summed into one numerator map
         over one denominator, the symbol's times ``p``'s, and reduced once.
         """
-        _check_operand(p, MultiPoly, "apply")
+        _check_type(p, MultiPoly, "apply expects a MultiPoly")
         _check_same_n(self._n, p.n)
         n, den = self._n, p._den
         mask = (1 << (W * n)) - 1
@@ -357,11 +356,11 @@ class DiffOp:
         return f"DiffOp({self._n}, {self})"
 
 
-def _check_operand(value: object, cls: type, method: str) -> None:
-    # an entry point's operand (a product's, apply's, a verify generator's or checker's): any
-    # other value would fail deep inside with an AttributeError that names a private field
-    if not isinstance(value, cls):
-        raise TypeError(f"{method} expects a {cls.__name__}, got {type(value).__name__}")
+def _check_first_order(op: object, contract: str) -> None:
+    # the operand of a Bell or exponential form: an operator (contract) of first order
+    _check_type(op, DiffOp, contract)
+    if not op.is_first_order():
+        raise ValueError("operator must be first order")
 
 
 def unit_op(n: int) -> DiffOp:
@@ -383,7 +382,7 @@ def _check_op_list(ops: Sequence[DiffOp]) -> int:
     if not isinstance(ops, Sequence) or not ops:
         raise ValueError(f"operator list must be a non-empty sequence of operators, got {ops!r}")
     for k, op in enumerate(ops, start=1):
-        _check_operand(op, DiffOp, "an operator list")
+        _check_type(op, DiffOp, "an operator list expects a DiffOp")
         if op.n != ops[0].n:
             raise ValueError("all operators must share the same variable count")
         if not op.is_first_order():
@@ -392,11 +391,8 @@ def _check_op_list(ops: Sequence[DiffOp]) -> int:
 
 
 def _check_indices(indices: Iterable[int]) -> tuple[int, ...]:
-    # 1-based operator and partition labels: a float or bool would pass for an int
-    try:
-        indices = tuple(indices)
-    except TypeError:
-        raise ValueError(f"indices must be an iterable of labels, got {indices!r}") from None
+    # 1-based operator and partition labels, in any order: a float or bool would pass for an int
+    indices = _check_sequence(indices, "indices must be an iterable of labels", ordered=False)
     for i in indices:
         _check_int(i, -math.inf, "indices must be integers")
     return indices
@@ -463,6 +459,6 @@ def _circ_powers(op: DiffOp) -> Iterator[DiffOp]:
 
 def power_diamond(op: DiffOp, m: int) -> DiffOp:
     """m-fold composition power; the empty product is the unit operator."""
-    _check_operand(op, DiffOp, "power_diamond")
+    _check_type(op, DiffOp, "power_diamond expects a DiffOp")
     _check_int(m, 0, "power must be a non-negative integer")
     return next(islice(_diamond_powers(op), m, None))

@@ -36,17 +36,21 @@ also be a factor pair ``(p, q)``: ``_mul_into`` multiply-accumulates
 ``p * q`` straight into the running map, with the scale factor on the
 smaller factor, so no product polynomial is formed, and the guard bits of
 the whole map are checked once before zeros are dropped.
+
+The module also holds the package's contract helpers, one per kind of input, each raising
+``"{contract}, got ..."``: ``_check_int``, ``_check_type``, ``_check_sequence``, ``_Record``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 import sys
+from collections.abc import Iterable, Iterator, Mapping, Set
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping
 
 MultiIndex = tuple[int, ...]
 Scalar = Fraction | int
@@ -79,11 +83,12 @@ def _unpack(key: int, n: int) -> MultiIndex:
 
 def _check_exponents(alpha: Iterable[int], n: int, what: str) -> MultiIndex:
     """``alpha`` as a tuple of ``n`` ints (no bools) in ``[0, 2**31)``, else ValueError."""
-    try:
-        alpha = tuple(alpha)
-    except TypeError:
-        msg = f"bad {what} {alpha!r} for {n} variables: need a sequence of ints"
-        raise ValueError(msg) from None
+    if type(alpha) is not tuple:  # a tuple, the usual index, is taken as it is
+        try:
+            alpha = _check_sequence(alpha, what)
+        except ValueError:
+            msg = f"bad {what} {alpha!r} for {n} variables: need a sequence of ints"
+            raise ValueError(msg) from None
     if len(alpha) != n or any(
         not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in alpha
     ):
@@ -179,10 +184,49 @@ def _check_int(value: object, least: float, contract: str, most: float = math.in
     return value
 
 
-def _read_only(self: object, name: str, value: object = None) -> None:
-    # __setattr__ and __delattr__ of an immutable record, whose __init__ sets each slot
-    # once through object.__setattr__
-    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+def _check_type(value: object, cls: type, contract: str) -> None:
+    # the contract on an operand: any other value would fail deep inside with an
+    # AttributeError that names a private field
+    if not isinstance(value, cls):
+        raise TypeError(f"{contract}, got {type(value).__name__}")
+
+
+def _check_sequence(value: object, contract: str, ordered: bool = True) -> tuple:
+    # the contract on a sequence: its items as a tuple. A str's characters and a mapping's
+    # keys are never the items meant, nor a set's members where their order carries meaning
+    if isinstance(value, (str, Mapping)) or ordered and isinstance(value, Set):
+        raise ValueError(f"{contract}, not the {type(value).__name__} {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{contract}, got {value!r}") from None
+
+
+class _Record:
+    # an immutable record, compared and hashed by the values of its __slots__, which
+    # __init__ sets once each, in order, from values its subclass has checked
+    __slots__ = ()
+
+    def __init__(self, *values: object):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(operator.attrgetter(*cls.__slots__))  # the slots' values
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        kind = type(self).__name__
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {kind}")
+
+    __delattr__ = __setattr__
 
 
 _VARIABLE_COUNT = "variable count must be positive"  # the contract on every n

@@ -64,7 +64,8 @@ from functools import reduce
 from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .multipoly import Scalar, _check_int, _is_scalar, _join_signed, _scalar, _term
+from .multipoly import (Scalar, _check_int, _check_sequence, _check_type, _is_scalar,
+                        _join_signed, _scalar, _term)
 
 T = TypeVar("T")
 
@@ -160,21 +161,9 @@ def _bell_columns(b: Sequence[int], order: int) -> Iterator[list[int]]:
 
 
 def _scalars(coeffs: Iterable[Scalar | str]) -> tuple[Fraction, ...]:
-    # the coefficient-sequence contract: an iterable of scalars, each read by _scalar
-    if isinstance(coeffs, str):  # "012" would iterate as the coefficients 0, 1, 2
-        raise ValueError(f"coefficients must be a sequence of scalars, not the str {coeffs!r}")
-    try:
-        coeffs = map(_scalar, coeffs)  # map takes the iterator at once, not lazily
-    except TypeError:
-        raise ValueError(f"coefficients must be a sequence of scalars, got {coeffs!r}") from None
-    return tuple(coeffs)
-
-
-def _check_series(value: object, role: str) -> None:
-    # the series operand of a public entry point: any other value would fail deep inside
-    # with an AttributeError that names a private field
-    if not isinstance(value, EgfSeries):
-        raise TypeError(f"{role} must be an EgfSeries, got {type(value).__name__}")
+    # the coefficient-sequence contract: a sequence of scalars, each read by _scalar
+    contract = "coefficients must be a sequence of scalars"
+    return tuple(map(_scalar, _check_sequence(coeffs, contract)))
 
 
 class EgfSeries:
@@ -237,7 +226,7 @@ class EgfSeries:
 
     def agrees_with(self, other: EgfSeries, order: int | None = None) -> bool:
         """Coefficientwise equality up to ``order`` (default: the smaller order)."""
-        _check_series(other, "the compared series")
+        _check_type(other, EgfSeries, "the compared series must be an EgfSeries")
         upto = min(self.order, other.order)
         if order is not None:
             upto = _check_int(order, 0, f"compared order must lie in 0..{upto}", upto)
@@ -296,8 +285,7 @@ class EgfSeries:
         table of :func:`_bell_columns`; coefficient 0 is ``a_0``.  About
         ``N^3/6`` multiply-adds at order ``N = min(self.order, inner.order)``.
         """
-        if not isinstance(inner, EgfSeries):
-            raise TypeError("compose expects another series")
+        _check_type(inner, EgfSeries, "the inner series must be an EgfSeries")
         if inner._coeffs[0] != 0:
             raise ValueError("inner series must have zero constant term")
         upto = min(self.order, inner.order)
@@ -357,7 +345,7 @@ def _as_invertible(f: EgfSeries, needed: int = 1) -> None:
     Every public function taking an invertible ``f`` runs this exactly once,
     itself or through one callee, with the order of ``f`` that it reads.
     """
-    _check_series(f, "the series to invert")
+    _check_type(f, EgfSeries, "the series to invert must be an EgfSeries")
     if f.order < 1:
         raise ValueError("an invertible series needs order >= 1")
     if f[0] != 0:
@@ -417,7 +405,7 @@ def operator_iterate(f: EgfSeries, start: EgfSeries, count: int) -> EgfSeries:
     enough for the 1/f' factor not to be the binding truncation).
     """
     _as_invertible(f)
-    _check_series(start, "the start")
+    _check_type(start, EgfSeries, "the start must be an EgfSeries")
     _check_int(count, 0, f"iteration count must lie in 0..{start.order} (the start order)",
                start.order)
     return next(islice(_iterates(f, start), count, None))
@@ -518,7 +506,7 @@ def egf_to_ogf(coeffs: Sequence[Scalar | str]) -> list[Fraction]:
 
 def to_json_dict(series: EgfSeries, convention: str = "egf") -> dict:
     """Serialize a series: rationals as exact \"p/q\" strings."""
-    _check_series(series, "the series to serialize")
+    _check_type(series, EgfSeries, "the series to serialize must be an EgfSeries")
     if convention == "egf":
         coeffs = list(series.coeffs)
     elif convention == "ogf":

@@ -20,9 +20,9 @@ from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinat import _partition_sum, bell_eval_bullet, set_partitions, stirling2
-from .diffop import (DiffOp, _check_op_list, _check_operand, _circ_powers, _diamond_powers,
+from .diffop import (DiffOp, _check_first_order, _check_op_list, _circ_powers, _diamond_powers,
                      diamond_chain, power_diamond, unit_op)
-from .multipoly import MultiIndex, MultiPoly, _check_int, _read_only
+from .multipoly import MultiIndex, MultiPoly, _Record, _check_int, _check_type
 from .series import INVERSE_METHODS, EgfSeries, _exp_recurrence, _quotient
 
 DEFAULT_POOL = (
@@ -40,7 +40,7 @@ STIRLING_POWER_CAP = 10
 _Z_ORDER = "z-order must be a non-negative integer"
 
 
-class RandomSpec:
+class RandomSpec(_Record):
     """Deterministic recipe for one random instance.  Immutable, compared and hashed by value."""
 
     __slots__ = ("seed", "n", "max_degree")
@@ -52,19 +52,7 @@ class RandomSpec:
         _check_int(seed, -math.inf, "seed must be an integer")
         _check_int(n, 1, "variable count n must be at least 1")
         _check_int(max_degree, 0, "degree bound must be non-negative")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "max_degree", max_degree)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RandomSpec):
-            return NotImplemented
-        return (self.seed, self.n, self.max_degree) == (other.seed, other.n, other.max_degree)
-
-    def __hash__(self) -> int:
-        return hash((self.seed, self.n, self.max_degree))
+        super().__init__(seed, n, max_degree)
 
 
 class VerifyReport:
@@ -74,12 +62,11 @@ class VerifyReport:
 
     def __init__(self, theorem: str, description: str, left: str, right: str, passed: bool,
                  elapsed: float = 0.0):
-        texts = {"theorem": theorem, "description": description, "left": left, "right": right}
-        for field, text in texts.items():
-            if not isinstance(text, str):
-                raise TypeError(f"a report's {field} must be a str, got {type(text).__name__}")
-        if not isinstance(passed, bool):
-            raise TypeError(f"a report's verdict must be a bool, got {type(passed).__name__}")
+        _check_type(theorem, str, "a report's theorem must be a str")
+        _check_type(description, str, "a report's description must be a str")
+        _check_type(left, str, "a report's left must be a str")
+        _check_type(right, str, "a report's right must be a str")
+        _check_type(passed, bool, "a report's verdict must be a bool")
         if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)) or not elapsed >= 0:
             raise ValueError(f"a report's elapsed time must be seconds >= 0, got {elapsed!r}")
         self.theorem = theorem
@@ -126,7 +113,7 @@ def _trials(
 ) -> Iterator[tuple[random.Random, str]]:
     # each trial's seeded stream and the description that regenerates it; the count is
     # checked here, at the call, so that no checker passes on zero trials
-    _check_operand(spec, RandomSpec, "a verify suite")
+    _check_type(spec, RandomSpec, "a verify suite expects a RandomSpec")
     _check_int(trials, 1, "trials must be at least 1")
     sizes = f" n={spec.n} degree<={spec.max_degree}" if sized else ""
     return ((random.Random(_trial_seed(spec.seed, t)), f"seed={spec.seed} trial={t}{sizes}")
@@ -186,27 +173,27 @@ def _series_from_rng(rng: random.Random, order: int) -> EgfSeries:
 
 def random_vector_field(spec: RandomSpec) -> DiffOp:
     """First-order operator with random bounded-degree coefficients, seed-determined."""
-    _check_operand(spec, RandomSpec, "random_vector_field")
+    _check_type(spec, RandomSpec, "random_vector_field expects a RandomSpec")
     return _vector_field_from_rng(random.Random(spec.seed), spec)
 
 
 def random_diffop(spec: RandomSpec, max_order: int = 2) -> DiffOp:
     """Operator with random terms of derivative order up to ``max_order``."""
-    _check_operand(spec, RandomSpec, "random_diffop")
+    _check_type(spec, RandomSpec, "random_diffop expects a RandomSpec")
     _check_int(max_order, 0, "derivative order bound must be non-negative")
     return _diffop_from_rng(random.Random(spec.seed), spec, max_order)
 
 
 def random_op_list(spec: RandomSpec, m: int) -> list[DiffOp]:
     """m first-order operators drawn from one seeded stream."""
-    _check_operand(spec, RandomSpec, "random_op_list")
+    _check_type(spec, RandomSpec, "random_op_list expects a RandomSpec")
     _check_int(m, 0, "operator count m must be non-negative")
     return _op_list_from_rng(random.Random(spec.seed), spec, m)
 
 
 def random_invertible_series(spec: RandomSpec, order: int) -> EgfSeries:
     """Invertible series of the given order with pool coefficients."""
-    _check_operand(spec, RandomSpec, "random_invertible_series")
+    _check_type(spec, RandomSpec, "random_invertible_series expects a RandomSpec")
     _check_int(order, 1, "an invertible series needs order >= 1")
     return _series_from_rng(random.Random(spec.seed), order)
 
@@ -316,9 +303,7 @@ def verify_exp_identity(op: DiffOp, z_order: int, description: str = "") -> Veri
     bullet-logarithm round trip is checked alongside.
     """
     started = time.perf_counter()
-    _check_operand(op, DiffOp, "verify_exp_identity")
-    if not op.is_first_order():
-        raise ValueError("operator must be first order")
+    _check_first_order(op, "verify_exp_identity expects a DiffOp")
     _check_int(z_order, 0, _Z_ORDER)
     zero = DiffOp.zero(op.n)
     powers = [*islice(_diamond_powers(op), z_order + 1)]

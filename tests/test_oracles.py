@@ -5,8 +5,10 @@
 ``rs_series_inversion``, ``rs_log`` and ``rs_exp`` the oracles for
 :meth:`EgfSeries.reciprocal`, ``ln`` and ``exp``, and ``sympy.diff`` the
 oracle for :meth:`DiffOp.apply`.  Those tests are skipped when sympy is
-not installed; it is declared in the ``test`` extra.  The closed form of
-the diamond powers of ``x^r d`` is written from ``math`` alone and always runs.
+not installed; it is declared in the ``test`` extra.  Three closed forms of
+diamond powers are written from ``math`` alone and always run: the powers of
+``x^r d``, of the Euler operator ``sum x_i d_i`` and the Lie series of
+``(1 + x^2) d``.
 """
 
 import math
@@ -69,6 +71,49 @@ def test_diamond_powers_match_the_generalized_stirling_numbers(r):
                     if (s := generalized_stirling(r, m, k))}
         power = power_diamond(op, m)
         assert {beta: dict(u.items()) for beta, u in power.items()} == expected, m
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_euler_operator_powers_match_the_stirling_numbers(n):
+    # E = sum x_i d_i has E^m = sum_k S(m,k) sum_{|b|=k} (k!/b!) x^b d^b, with S(m, k)
+    # from the explicit sum; of the listed diamond/circ mutants, this kills "diamond without
+    # its (a choose g) weight", "the kept column of d_x^g is not lowered by xi^g", "the
+    # merged column accumulates into its first kept column" and "DiffOp.__init__ without
+    # the xi^beta shift"
+    euler = DiffOp.vector_field([MultiPoly.variable(n, i) for i in range(n)])
+    for m in range(1, 8):
+        expected = {}
+        for b in product(range(m + 1), repeat=n):
+            k = sum(b)
+            if 1 <= k <= m:
+                weight = math.factorial(k) // math.prod(map(math.factorial, b))
+                expected[b] = {b: generalized_stirling(1, m, k) * weight}
+        power = power_diamond(euler, m)
+        assert {beta: dict(u.items()) for beta, u in power.items()} == expected, m
+
+
+def tangent_number(m):
+    """``tan^(m)(0)``: 0 at even ``m``, else ``(-1)^j 4^(j+1) (4^(j+1) - 1) B_(2j+2) / (2j+2)``.
+
+    ``m = 2j + 1``, with the Bernoulli number from the explicit double sum
+    ``B_n = sum_k 1/(k+1) sum_i (-1)^i C(k, i) i^n``.
+    """
+    if m % 2 == 0:
+        return 0
+    j, n = (m - 1) // 2, m + 1
+    bernoulli = sum(Fraction(sum((-1) ** i * math.comb(k, i) * i**n for i in range(k + 1)), k + 1)
+                    for k in range(n + 1))
+    return (-1) ** j * 4 ** (j + 1) * (4 ** (j + 1) - 1) * bernoulli / n
+
+
+def test_lie_series_of_one_plus_x_squared_d_gives_the_tangent_numbers():
+    # the flow of u = 1 + x^2 from 0 is tan z, so (X^m x)(0) = tan^(m)(0) (Groebner's Lie
+    # series); it kills the same four listed diamond/circ mutants as the Euler operator test
+    x = MultiPoly.variable(1, 0)
+    lie = DiffOp.vector_field([MultiPoly(1, {(0,): 1, (2,): 1})])
+    values = [power_diamond(lie, m).apply(x).constant_term() for m in range(16)]
+    assert values == [tangent_number(m) for m in range(16)]
+    assert values[:6] == [0, 1, 0, 2, 0, 16] and values[15] == 1903757312
 
 
 def sympy_inverse(f, order):

@@ -422,6 +422,7 @@ NOT_A_SERIES = {
     "operator_iterate_start": lambda: operator_iterate(x_exp_minus_x(3), 5, 0),
     "to_json_dict": lambda: to_json_dict(5),
     "agrees_with": lambda: EgfSeries([0, 1]).agrees_with(5),
+    "compose": lambda: EgfSeries([0, 1]).compose(5),
 }
 
 

@@ -14,6 +14,7 @@ import pytest
 from opseries import (
     DiffOp,
     EgfSeries,
+    IntPartition,
     MultiPoly,
     RandomSpec,
     VerifyReport,
@@ -22,6 +23,7 @@ from opseries import (
     egf_to_ogf,
     ogf_to_egf,
     operator_inverse,
+    partition_class_count,
     power_diamond,
     random_diffop,
     random_invertible_series,
@@ -627,6 +629,46 @@ NOT_AN_OPERAND = {
     "egf_to_ogf": (lambda: egf_to_ogf(5), "coefficients must be a sequence of scalars"),
 }
 
+X1, X2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+D1 = DiffOp.vector_field([MultiPoly.const(2, 1), MultiPoly.zero(2)])
+# each ran without error, reading a dict's keys, a str's characters or a set's arbitrary
+# order as the values meant: EgfSeries({0: 5, 1: 7}) was EgfSeries([0, 1])
+NOT_A_SEQUENCE = {
+    "EgfSeries-dict": (lambda: EgfSeries({0: 5, 1: 7}),
+                       "coefficients must be a sequence of scalars, not the dict"),
+    "EgfSeries-set": (lambda: EgfSeries({1, 2}),
+                      "coefficients must be a sequence of scalars, not the set"),
+    "ogf_to_egf": (lambda: ogf_to_egf({0: 5, 1: 7}),
+                   "coefficients must be a sequence of scalars, not the dict"),
+    "egf_to_ogf": (lambda: egf_to_ogf({0: 5, 1: 7}),
+                   "coefficients must be a sequence of scalars, not the dict"),
+    "vector_field-str": (lambda: DiffOp.vector_field("12"),
+                         "vector_field expects a sequence of coefficients, not the str '12'"),
+    "vector_field-dict": (lambda: DiffOp.vector_field({0: X1, 1: X2}),
+                          "vector_field expects a sequence of coefficients, not the dict"),
+    "vector_field-set": (lambda: DiffOp.vector_field({X1, X2}),
+                         "vector_field expects a sequence of coefficients, not the set"),
+    "single": (lambda: DiffOp.single(X1, {0: 5, 1: 5}),
+               "bad derivative multi-index {0: 5, 1: 5} for 2 variables: need a sequence of ints"),
+    "MultiPoly.coefficient": (lambda: X1.coefficient({0: 9, 1: 9}),
+                              "bad exponent vector {0: 9, 1: 9} for 2 variables: "
+                              "need a sequence of ints"),
+    "MultiPoly.coefficient-set": (lambda: X1.coefficient({0, 1}),
+                                  "bad exponent vector {0, 1} for 2 variables: "
+                                  "need a sequence of ints"),
+    "DiffOp.coefficient": (lambda: D1.coefficient({0: 9, 1: 9}),
+                           "bad derivative multi-index {0: 9, 1: 9} for 2 variables: "
+                           "need a sequence of ints"),
+    "partition_class_count": (lambda: partition_class_count({2: 2}),
+                              "multiplicities must be a sequence of counts l_1, l_2, ..., "
+                              "not the dict {2: 2}"),
+    "IntPartition": (lambda: IntPartition(1, {1: 5}),
+                     "multiplicities must be a sequence of counts l_1, l_2, ..., "
+                     "not the dict {1: 5}"),
+    "indices": (lambda: opseries.diamond_chain([D1, D1], {1: 0, 2: 0}),
+                "indices must be an iterable of labels, not the dict"),
+}
+
 
 class TestOperandContracts:
     @pytest.mark.parametrize("entry", list(NOT_AN_OPERAND))
@@ -636,6 +678,20 @@ class TestOperandContracts:
             call()
         assert not re.search("has no attribute|is not iterable|cannot be interpreted",
                              str(info.value))
+
+    @pytest.mark.parametrize("entry", list(NOT_A_SEQUENCE))
+    def test_a_mapping_str_or_unordered_set_is_not_read_as_a_sequence(self, entry):
+        call, contract = NOT_A_SEQUENCE[entry]
+        with pytest.raises(ValueError, match=re.escape(contract)):
+            call()
+
+    def test_labels_may_come_as_a_set_and_vector_field_coefficients_as_a_generator(self):
+        # labels name operators and blocks, so their order carries no meaning
+        ops = [D1, DiffOp.vector_field([X2, X1])]
+        assert opseries.diamond_chain(ops, {1, 2}) == opseries.diamond_chain(ops, [2, 1])
+        assert opseries.SetPartition(2, {frozenset({1}), frozenset({2})}).blocks == ((1,), (2,))
+        # vector_field iterates its coefficients, so a generator serves, as for EgfSeries
+        assert DiffOp.vector_field(u for u in (X1, X2)) == DiffOp.vector_field([X1, X2])
 
 
 # Python's own wording for a wrong type met deep inside, not at an entry point

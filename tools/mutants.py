@@ -10,13 +10,13 @@ mutant was seen.  Uses the standard library only; pytest must be importable.
     python3 tools/mutants.py
 
 Known output-equivalent mutants are listed apart, in ``EQUIVALENT``: no
-output-level test can kill them, so they are not run.  Each one's text
-must still occur exactly once in its file, and the runner prints it.
+output-level test can kill them, so they are not run, and the runner
+prints them.  Every mutant's text, listed or equivalent, must occur
+exactly once in its file; all are checked before the unmutated run.
 
 Exit status: 0 if every mutant is killed, 1 if any survives, 2 if the
 unmutated tests fail, the copy's ``opseries`` is not the one imported, or
-a mutant's text (an equivalent one's too) no longer occurs exactly once in
-its file.
+a mutant's text no longer occurs exactly once in its file.
 """
 
 from __future__ import annotations
@@ -166,16 +166,23 @@ MUTANTS = (
         "if not least <= value:",
     ),
     Mutant(
-        "SetPartition equality ignores blocks",
-        "src/opseries/combinat.py",
-        "return self.m == other.m and self.blocks == other.blocks",
-        "return self.m == other.m",
+        "record equality compares only the first slot (IntPartition(4, (2, 1, 0, 0)) == "
+        "IntPartition(4, (0, 2, 0, 0)))",
+        "src/opseries/multipoly.py",
+        "return self._values == other._values",
+        "return self._values[:1] == other._values[:1]",
     ),
     Mutant(
-        "IntPartition equality ignores multiplicities",
-        "src/opseries/combinat.py",
-        "return self.m == other.m and self.multiplicities == other.multiplicities",
-        "return self.m == other.m",
+        "the operand contract never raises",
+        "src/opseries/multipoly.py",
+        'raise TypeError(f"{contract}, got {type(value).__name__}")',
+        "pass",
+    ),
+    Mutant(
+        "the sequence contract reads a mapping as its keys",
+        "src/opseries/multipoly.py",
+        "if isinstance(value, (str, Mapping)) or",
+        "if isinstance(value, str) or",
     ),
     # each checker below passes when its right side is replaced by its left one,
     # unless a test breaks one ingredient of that side and expects a failure
@@ -326,6 +333,13 @@ EQUIVALENT = (
         "if ((gamma | guard) - packed) & guard == guard:",
         "if True:",
     ),
+    Mutant(
+        # equal records still hash equal; only the cost of a set or dict lookup changes
+        "every record hashes to one constant",
+        "src/opseries/multipoly.py",
+        "return hash(self._values)",
+        "return 0",
+    ),
 )
 
 
@@ -373,8 +387,9 @@ def tests_fail(mutant: Mutant | None) -> bool:
 
 
 def main() -> int:
-    for mutant in EQUIVALENT:
+    for mutant in MUTANTS + EQUIVALENT:  # a stale text exits 2 before any run
         mutated((ROOT / mutant.path).read_text(), mutant)
+    for mutant in EQUIVALENT:
         print(f"{'equiv':<8}  {'':>6}  {mutant.name}", flush=True)
     if tests_fail(None):
         print("the tests fail on the unmutated tree; no mutant can be judged")
